@@ -8,9 +8,14 @@ from dataclasses import dataclass, field
 
 from .curvature import LrSchedule
 from .errors import ConfigError
+from .quantizer import MAX_BITWIDTH
 
 EXPERIMENTS = ("toy2d", "toy-pow32", "train-mnist", "theory-check")
 OPTIMIZERS = ("laq", "blaq", "full-precision")
+
+
+def _valid_bitwidth(k):
+    return isinstance(k, int) and 1 <= k <= MAX_BITWIDTH
 
 
 @dataclass
@@ -56,8 +61,9 @@ class ExperimentConfig:
             self.seed = 5 if self.experiment == "theory-check" else 0
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
-        if not isinstance(self.bitwidth, int) or self.bitwidth < 1:
-            raise ConfigError(f"bitwidth must be a positive integer, got {self.bitwidth!r}")
+        if not _valid_bitwidth(self.bitwidth):
+            raise ConfigError(
+                f"bitwidth must be an integer in 1..{MAX_BITWIDTH}, got {self.bitwidth!r}")
         if not 0.0 <= self.a <= 1.0:
             raise ConfigError(f"a must lie in [0, 1], got {self.a}")
         if not isinstance(self.m, int) or self.m < 1:
@@ -81,8 +87,9 @@ class ExperimentConfig:
         if self.theory_dim < 2:
             raise ConfigError(f"theory_dim must be >= 2, got {self.theory_dim}")
         if self.sweep_bitwidths is not None:
-            if not all(isinstance(k, int) and k >= 1 for k in self.sweep_bitwidths):
-                raise ConfigError(f"sweep_bitwidths must be positive integers, got {self.sweep_bitwidths}")
+            if not all(_valid_bitwidth(k) for k in self.sweep_bitwidths):
+                raise ConfigError(f"sweep_bitwidths must be integers in 1..{MAX_BITWIDTH}, "
+                                  f"got {self.sweep_bitwidths}")
         if self.eta_schedule is not None:
             self.schedule()  # validates
 

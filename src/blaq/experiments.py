@@ -164,12 +164,6 @@ def _toy_metrics(cfg, state, record, window, floor_target):
     return out
 
 
-def toy2d_quadratic_floor(bitwidth):
-    """Brute-force optimum of the 2-D toy over scaled k-bit codes."""
-    objective = DiagonalQuadratic(lam=2.0 * np.asarray(TOY2D_COEFFS), center=TOY2D_CENTER)
-    return quantized_loss_floor(objective, QuantGrid(bitwidth))
-
-
 def run_toy2d(cfg):
     if cfg.sweep_bitwidths:
         return _run_toy2d_sweep(cfg)
@@ -194,7 +188,9 @@ def run_toy2d(cfg):
 
 
 def toy2d_quantized_floor_loss(bitwidth):
-    return toy2d_quadratic_floor(bitwidth)[0]
+    """Lowest loss of the 2-D toy over scaled k-bit codes."""
+    objective = DiagonalQuadratic(lam=2.0 * np.asarray(TOY2D_COEFFS), center=TOY2D_CENTER)
+    return quantized_loss_floor(objective, QuantGrid(bitwidth))[0]
 
 
 def _run_toy2d_sweep(cfg):

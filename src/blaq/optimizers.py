@@ -28,7 +28,10 @@ from .quantizer import QuantGrid, ScaledCode, project
 
 @dataclass
 class BlaqConfig:
-    """Mixing coefficient, projection iterations, and the level grid."""
+    """Mixing coefficient, projection iteration count, and the level grid.
+
+    `m` is kept for config compatibility; the exact projection ignores it.
+    """
 
     grid: QuantGrid
     a: float = 0.6

@@ -2,8 +2,10 @@
 
 A k-bit grid holds the 2^k levels {±i/2^(k-1) : i = 1..2^(k-1)}; zero is
 never a level and the extremes are ±1.  Quantized weights are represented
-as a single positive scale times a grid-valued code vector, fitted by
-alternating minimization of the diagonally weighted squared error.
+as a single positive scale times a grid-valued code vector.  The fit
+minimizes the diagonally weighted squared error exactly: for n weights,
+one sorted sweep over the n (2^(k-1) - 1) scales where the nearest code
+changes finds the best code, at O(n 2^(k-1) log(n 2^(k-1))) cost.
 """
 
 from __future__ import annotations
@@ -93,95 +95,90 @@ def _validate_projection_args(w, d, m):
     return w, d
 
 
-def _scale_starts(w, d, grid):
-    """Initial scales for the alternating loop.
+def _sweep_scale(w, d, grid):
+    """Optimal scale of the best code, by one sorted breakpoint sweep.
 
-    The first entry is the 1-bit closed form.  For wider grids the code
-    assignment nearest(w/alpha) is piecewise constant in alpha, with
-    breakpoints where some |w_i|/alpha crosses a level midpoint; one
-    start inside every interval lets the multi-start loop reach the
-    assignment family's global optimum (a single start can lock coarse
-    coordinates at the wrong level).  Large vectors fall back to
-    magnitude quantiles to bound the start count.
+    With n = 2^(k-1) positive levels j/n, the best code for a fixed alpha
+    is nearest(w/alpha), and coordinate i moves from level j/n up to
+    (j+1)/n as alpha falls through 2n|w_i|/(2j+1).  Starting from the
+    all-level-1 code (alpha -> inf), crossing the breakpoints in
+    descending order visits every code of that family.  With
+    S_wb = sum d|w||beta| and S_bb = sum d beta^2, a code's objective at
+    its own optimal scale is 0.5 * (sum d w^2 - S_wb^2 / S_bb), so the
+    prefix maximizing S_wb^2 / S_bb is the global optimum.  Prefixes
+    within a relative 1e-12 of the best tie (float noise between
+    scale-equivalent codes such as [1, 1] and [0.5, 0.5]); the last one,
+    with the largest levels and smallest scale, wins.  Returns
+    S_wb / S_bb of the winning prefix.
     """
-    starts = [float(np.dot(d, np.abs(w)) / d.sum())]
-    if grid.bitwidth == 1:
-        return starts
-    mags = np.abs(w[w != 0.0])
-    pos = grid.levels[grid.resolution:]
-    mids = (pos[:-1] + pos[1:]) / 2.0
-    if not mids.size:
-        return starts
-    anchors = mags if mags.size <= 64 else np.quantile(mags, [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
-    bounds = np.unique(np.outer(anchors, 1.0 / mids).reshape(-1))
-    interior = (bounds[:-1] + bounds[1:]) / 2.0
-    for candidate in np.concatenate([[bounds[0] / 2.0], interior, [bounds[-1] * 2.0]]):
-        c = float(candidate)
-        if c > 0.0 and c not in starts:
-            starts.append(c)
-    return starts
+    n = grid.resolution
+    mags = np.abs(w)
+    s_wb = float(np.dot(d, mags)) / n
+    s_bb = float(d.sum()) / (n * n)
+    if n == 1:
+        return s_wb / s_bb
+    odd = np.arange(3, 2 * n, 2, dtype=np.float64)           # 2j+1, j = 1..n-1
+    # ascending order of the negated breakpoints is the descending sweep;
+    # zero weights sit at the end (alpha = 0 is never crossed) and are cut
+    order = np.argsort(np.multiply.outer(mags, -2.0 * n / odd), axis=None)
+    order = order[:np.count_nonzero(mags) * (n - 1)]
+    wb = (d * mags)[order // (n - 1)]
+    wb /= n
+    wb[0] += s_wb
+    np.cumsum(wb, out=wb)
+    bb = np.multiply.outer(d, odd / (n * n)).reshape(-1)[order]
+    del order
+    bb[0] += s_bb
+    np.cumsum(bb, out=bb)
+    ratio = wb * wb
+    ratio /= bb
+    best = max(s_wb * s_wb / s_bb, float(ratio.max()))
+    ties = np.flatnonzero(ratio >= best - 1e-12 * best)
+    if not ties.size:
+        return s_wb / s_bb
+    last = ties[-1]
+    return float(wb[last] / bb[last])
 
 
-def _alternate(w, d, grid, m, alpha0, collect_trace):
-    """Run the alternating code/scale updates from one starting scale.
+def _fit(w, d, grid):
+    """Swept scale, then one code half-step and one scale half-step.
 
-    Stops early at a fixed point (further iterations are no-ops), which
-    keeps the objective trace trivially non-increasing.
+    Returns (alpha0, alpha, beta): the swept scale and the final code.
     """
-    alpha = alpha0
-    beta = None
-    trace = [] if collect_trace else None
-    for _ in range(m):
-        prev_alpha, prev_beta = alpha, beta
-        beta = nearest_level(grid, w / alpha)
-        if collect_trace:
-            trace.append(weighted_objective(w, d, alpha, beta))
-        alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
-        if collect_trace:
-            trace.append(weighted_objective(w, d, alpha, beta))
-        if prev_beta is not None and alpha == prev_alpha and np.array_equal(beta, prev_beta):
-            break
-    return alpha, beta, trace
+    alpha0 = _sweep_scale(w, d, grid)
+    beta = nearest_level(grid, w / alpha0)
+    alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
+    return alpha0, alpha, beta
 
 
 def project(w, d, grid, m):
     """Fit (alpha, beta) minimizing the d-weighted squared error to w.
 
-    Alternates up to m times between the closed-form code update
-    (per-entry nearest level of w/alpha) and the closed-form scale update
-    alpha = sum(d*w*beta) / sum(d*beta^2), starting from the 1-bit
-    closed-form scale sum(d*|w|)/sum(d) (plus extra scale starts on
-    multi-bit grids).  Each half-step is an exact minimization, so the
-    objective never increases.
+    Exact: the breakpoint sweep finds the scale of the globally best
+    code in O(n 2^(k-1) log(n 2^(k-1))) time and O(n 2^(k-1)) memory,
+    then one code half-step (per-entry nearest level of w/alpha) and one
+    scale half-step (alpha = sum(d*w*beta) / sum(d*beta^2)) finish it.
+    On the 1-bit grid there are no breakpoints and this is the closed
+    form beta = sign(w), alpha = sum(d*|w|)/sum(d).  The iteration count
+    `m` is validated (m >= 1) but unused: alternating code and scale
+    updates from the exact optimum change nothing.
     """
     w, d = _validate_projection_args(w, d, m)
     if not np.any(w):
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w))
-    starts = _scale_starts(w, d, grid)
-    if len(starts) == 1:
-        alpha, beta, _ = _alternate(w, d, grid, m, starts[0], False)
-        return ScaledCode(alpha, beta)
-    best = None
-    for alpha0 in starts:
-        alpha, beta, _ = _alternate(w, d, grid, m, alpha0, False)
-        obj = weighted_objective(w, d, alpha, beta)
-        # earlier start wins ties so the outcome is stable under float noise
-        if best is None or obj < best[0] - 1e-12 * max(1.0, best[0]):
-            best = (obj, alpha, beta)
-    return ScaledCode(best[1], best[2])
+    _, alpha, beta = _fit(w, d, grid)
+    return ScaledCode(alpha, beta)
 
 
 def project_with_trace(w, d, grid, m):
-    """Like project, but also returns the winning start's objective trace."""
+    """Like project, but also returns the objective after each of the
+    two finishing half-steps (non-increasing by construction)."""
     w, d = _validate_projection_args(w, d, m)
     if not np.any(w):
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w)), []
-    best = None
-    for alpha0 in _scale_starts(w, d, grid):
-        alpha, beta, trace = _alternate(w, d, grid, m, alpha0, True)
-        if best is None or trace[-1] < best[0] - 1e-12 * max(1.0, best[0]):
-            best = (trace[-1], alpha, beta, trace)
-    return ScaledCode(best[1], best[2]), best[3]
+    alpha0, alpha, beta = _fit(w, d, grid)
+    trace = [weighted_objective(w, d, alpha0, beta), weighted_objective(w, d, alpha, beta)]
+    return ScaledCode(alpha, beta), trace
 
 
 def exhaustive_project(w, d, grid):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .curvature import CurvatureState, LrSchedule
 from .optimizers import BlaqConfig, LayerQuantState, blaq_step, laq_step
-from .quantizer import QuantGrid
+from .quantizer import QuantGrid, project
 
 # Relative slack for the trajectory bound check; float noise only, the
 # inequality itself is asserted as stated.
@@ -97,26 +97,14 @@ class DiagonalQuadratic:
 
 
 def quantized_loss_floor(objective, grid):
-    """Brute-force minimum of the loss over scaled codes (tiny dims only).
+    """Minimum of the loss over scaled codes.
 
-    For each code vector the loss-optimal scale is closed-form; mirrored
-    codes make the sign of that scale immaterial.  Returns
-    (loss, alpha, beta) at the optimum.
+    The loss is the lam-weighted squared error to the center, so the
+    exact projection of the center under weights lam is the optimum.
+    Returns (loss, alpha, beta) at the optimum.
     """
-    n = objective.dim
-    lam, c = objective.lam, objective.center
-    grids = np.meshgrid(*([grid.levels] * n), indexing="ij")
-    codes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    best = None
-    for beta in codes:
-        denom = float(np.dot(lam, beta * beta))
-        alpha = float(np.dot(lam, c * beta) / denom)
-        loss = objective.loss(alpha * beta)
-        if best is None or loss < best[0]:
-            if alpha < 0:      # mirrored code represents the same point
-                alpha, beta = -alpha, -beta
-            best = (loss, alpha, beta.copy())
-    return best
+    code = project(objective.center, objective.lam, grid, 1)
+    return objective.loss(code.w_hat()), code.alpha, code.beta
 
 
 def _run_quantized(objective, kind, grid, a, m, steps, schedule, beta2, eps, w0):

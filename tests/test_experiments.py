@@ -215,6 +215,16 @@ class TestCli:
     def test_bad_value_exit_two(self):
         assert cli_main(["toy2d", "--bitwidth", "0"]) == 2
 
+    def test_bitwidth_above_grid_maximum_exit_two(self):
+        assert cli_main(["toy2d", "--bitwidth", "17"]) == 2
+        assert cli_main(["theory-check", "--bitwidth", "20"]) == 2
+        assert cli_main(["toy2d", "--sweep-bitwidths", "[1,17]"]) == 2
+
+    def test_widest_bitwidth_runs(self, tmp_path):
+        code = cli_main(["toy2d", "--bitwidth", "16", "--steps", "5",
+                         "--output-dir", str(tmp_path / "run")])
+        assert code == 0
+
     def test_failed_check_exit_one(self, tmp_path):
         # an 8-instance suite at a shortened budget misses its ordering target
         code = cli_main(["theory-check", "--n-instances", "8", "--seed", "0",

@@ -183,3 +183,62 @@ class TestProject:
             project(w, np.ones(3), QuantGrid(1), m=5)
         with pytest.raises(ValueError):
             project(w, np.ones(2), QuantGrid(1), m=0)
+
+
+class TestBreakpointSweep:
+    def test_matches_exhaustive_three_and_four_bits(self):
+        rng = np.random.default_rng(12)
+        for k, max_n in ((3, 4), (4, 3)):
+            grid = QuantGrid(k)
+            for _ in range(60):
+                n = int(rng.integers(1, max_n + 1))
+                w = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
+                d = rng.uniform(0.1, 5.0, size=n)
+                code = project(w, d, grid, m=1)
+                obj = weighted_objective(w, d, code.alpha, code.beta)
+                ref, _, _ = exhaustive_project(w, d, grid)
+                assert obj <= ref + 1e-12 * max(1.0, ref)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_equal_magnitudes_take_the_largest_levels(self, k):
+        # every code with all levels equal fits exactly; the tie goes to level 1
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            w = 0.37 * rng.choice([-1.0, 1.0], size=n)
+            d = rng.uniform(0.1, 5.0, size=n)
+            code = project(w, d, QuantGrid(k), m=5)
+            assert np.max(np.abs(code.beta)) == 1.0
+            assert np.array_equal(code.beta, np.sign(w))
+
+    def test_one_bit_is_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        grid = QuantGrid(1)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            w = rng.normal(size=n)
+            d = rng.uniform(0.05, 5.0, size=n)
+            s = np.sign(w)
+            code = project(w, d, grid, m=5)
+            assert np.array_equal(code.beta, s)
+            assert code.alpha == float(np.dot(d, w * s) / np.dot(d, s * s))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_long_vector_beats_a_dense_scale_scan(self, k):
+        rng = np.random.default_rng(15 + k)
+        grid = QuantGrid(k)
+        w = rng.normal(size=500) * rng.uniform(0.1, 2.0, size=500)
+        d = rng.uniform(0.1, 5.0, size=500)
+        code = project(w, d, grid, m=5)
+        obj = weighted_objective(w, d, code.alpha, code.beta)
+        scan = np.geomspace(1e-3, 3.0 * np.abs(w).max(), 4000)
+        best_scan = min(weighted_objective(w, d, a, nearest_level(grid, w / a)) for a in scan)
+        assert obj <= best_scan
+
+    def test_m_is_validated_but_inert(self):
+        rng = np.random.default_rng(16)
+        w, d = rng.normal(size=40), rng.uniform(0.1, 2.0, size=40)
+        first = project(w, d, QuantGrid(3), m=1)
+        many = project(w, d, QuantGrid(3), m=50)
+        assert first.alpha == many.alpha
+        assert np.array_equal(first.beta, many.beta)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blaq.curvature import LrSchedule
-from blaq.quantizer import QuantGrid
+from blaq.quantizer import QuantGrid, exhaustive_project
 from blaq.theory import (DiagonalQuadratic, TheoryParams, check_instance,
                          compare_convergence, count_bound_violations,
                          draw_instance, quantized_loss_floor, run_suite,
@@ -88,6 +88,22 @@ class TestQuadraticFamily:
         assert list(beta) == [1.0, -1.0]
         assert alpha == pytest.approx(0.325 / 6.0, abs=1e-15)
         assert loss == pytest.approx(5e-6 / 6.0, rel=1e-12)
+
+    def test_floor_matches_exhaustive_search(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 3):
+            for _ in range(30):
+                q = DiagonalQuadratic(rng.uniform(0.5, 10.0, size=3), rng.normal(size=3))
+                loss, alpha, beta = quantized_loss_floor(q, QuantGrid(k))
+                ref, _, _ = exhaustive_project(q.center, q.lam, QuantGrid(k))
+                assert alpha > 0.0
+                assert loss <= ref + 1e-12 * max(1.0, ref)
+
+    def test_widest_grid_floor_is_cheap(self):
+        # the 2-D toy at 16 bits: 65,534 breakpoints, no code enumeration
+        q = DiagonalQuadratic([10.0, 2.0], [0.054, -0.055])
+        loss, _, _ = quantized_loss_floor(q, QuantGrid(16))
+        assert 0.0 <= loss <= quantized_loss_floor(q, QuantGrid(8))[0] + 1e-12
 
 
 class TestCompareConvergence:
