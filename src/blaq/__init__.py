@@ -5,7 +5,7 @@ loss-aware update and its backtracking (one-step-forward) variant,
 oscillation diagnostics, and numeric convergence checks.
 """
 
-from .autodiff import Graph, Tensor
+from .autodiff import Graph
 from .curvature import CurvatureState, LrSchedule
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
@@ -17,7 +17,7 @@ from .theory import (DiagonalQuadratic, TheoryParams, compare_convergence,
                      theorem1_bound, theorem2_region)
 
 __all__ = [
-    "Graph", "Tensor", "CurvatureState", "LrSchedule", "TrajectoryRecord",
+    "Graph", "CurvatureState", "LrSchedule", "TrajectoryRecord",
     "direction_change_count", "flip_count", "oscillation_amplitude",
     "steps_to_tolerance", "BlaqConfig", "FullPrecisionState",
     "LayerQuantState", "TrialState", "blaq_stage1", "blaq_stage2",

@@ -1,4 +1,4 @@
-"""Dense float64 tensors and reverse-mode automatic differentiation.
+"""Reverse-mode automatic differentiation over dense float64 arrays.
 
 Supports exactly the primitives needed for small fully-connected
 classifiers and 1-D/2-D toy objectives: matmul, bias addition, relu,
@@ -13,39 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, StateError, UnsupportedOpError
-
-
-class Tensor:
-    """Immutable-ish dense array of 64-bit reals, row-major.
-
-    External data is validated at construction: any NaN/Inf entry is
-    rejected.  `data` exposes the flat row-major view.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
-        self.array = arr
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-    @property
-    def data(self):
-        return self.array.reshape(-1)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
-
-def _as_array(values):
-    if isinstance(values, Tensor):
-        return values.array
-    return np.asarray(values, dtype=np.float64)
 
 
 def _shapes_match(expected, actual):
@@ -103,7 +70,7 @@ class Graph:
         """Trainable leaf with persistent value."""
         if name in self._placeholders or name in self._params:
             raise ValueError(f"duplicate leaf name {name!r}")
-        arr = _as_array(init).copy()
+        arr = np.asarray(init, dtype=np.float64).copy()
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"parameter {name!r} init must be finite")
         node = self._new("parameter", [], arr.shape, {"name": name})
@@ -113,7 +80,7 @@ class Graph:
 
     def constant(self, values):
         """Fixed non-trainable leaf."""
-        arr = _as_array(values).copy()
+        arr = np.asarray(values, dtype=np.float64).copy()
         if not np.all(np.isfinite(arr)):
             raise ValueError("constant must be finite")
         node = self._new("constant", [], arr.shape)
@@ -194,7 +161,7 @@ class Graph:
         for name, values in inputs.items():
             if name not in self._placeholders:
                 raise ValueError(f"unknown input {name!r}")
-            arr = _as_array(values)
+            arr = np.asarray(values, dtype=np.float64)
             node = self.nodes[self._placeholders[name]]
             if not _shapes_match(node.shape, arr.shape):
                 raise ValueError(f"input {name!r} has shape {arr.shape}, expected {node.shape}")
@@ -251,7 +218,7 @@ class Graph:
 
     def set_parameter(self, name, values):
         node = self.nodes[self._params[name]]
-        arr = _as_array(values)
+        arr = np.asarray(values, dtype=np.float64)
         if arr.shape != node.value.shape:
             raise ValueError(f"parameter {name!r} has shape {node.value.shape}, got {arr.shape}")
         node.value = arr.astype(np.float64, copy=True)

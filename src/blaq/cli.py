@@ -3,7 +3,9 @@
 Subcommands: toy2d, toy-pow32, train-mnist, theory-check.  Each accepts
 --config FILE plus any number of --key value overrides (values parsed as
 JSON when possible).  Exit codes: 0 success, 1 a run-level assertion
-failed, 2 configuration or data errors.
+failed, 2 configuration or data errors, 3 the run diverged (a loss,
+gradient or iterate became non-finite; the message names the graph node
+and, inside an optimizer step, the step number).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import sys
 
 from .config import EXPERIMENTS, load_config
-from .errors import CheckFailed, ConfigError, FormatError
+from .errors import CheckFailed, ConfigError, FormatError, NumericError
 from .experiments import run
 
 
@@ -55,6 +57,9 @@ def main(argv=None):
     except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
+    except NumericError as e:
+        print(f"diverged: {e}", file=sys.stderr)
+        return 3
     out_dir = result.get("out_dir")
     print(f"done: outputs in {out_dir}")
     return 0

@@ -20,8 +20,7 @@ from .errors import CheckFailed, ConfigError
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
 from .models import abs_power_objective, fig1_quadratic
-from .optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
-                         blaq_step, full_precision_step, laq_step)
+from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
 from .theory import DiagonalQuadratic, quantized_loss_floor, run_suite
 from .training import train_classifier
@@ -133,12 +132,7 @@ def run_toy_objective(objective, cfg, schedule, steps):
 
     prev = snapshot(0, w0)
     for t in range(1, steps + 1):
-        if cfg.optimizer == "laq":
-            laq_step(state, objective.grad_at, opt_cfg)
-        elif cfg.optimizer == "blaq":
-            blaq_step(state, objective.grad_at, opt_cfg)
-        else:
-            full_precision_step(state, objective.grad_at)
+        step(cfg.optimizer, state, objective.grad_at, opt_cfg)
         prev = snapshot(t, prev)
     return state, record
 

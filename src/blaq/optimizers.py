@@ -1,15 +1,21 @@
-"""Per-layer quantized update rules.
+"""Quantized update rules over a list of layers.
 
-Three step kinds act on a single layer's flattened weight vector:
+Every step acts on a list of layer states that share one joint gradient
+callback, `grad_at(points) -> grads`, with one flat vector per layer in
+each list; a bare state with a single-vector `grad_at` is the one-layer
+case.  A `LayerQuantState` projects onto its scaled grid, and a
+`FullPrecisionState` is a layer with the identity projection, so the
+weights and the biases of a network take the same step.
 
 * `laq_step` — proximal step taken from the quantized point, then a
-  weighted projection back onto the scaled grid.
+  weighted projection back onto the scaled grid; one gradient evaluation.
 * `blaq_stage1` / `blaq_stage2` — a trial step from the full-precision
   point followed by a backtracked update using the convex combination of
   the current and trial gradients (and metrics).  `blaq_step` drives the
-  two stages.
-* `full_precision_step` — the same adaptive proximal step with the
-  identity projection (no quantization).
+  two stages with exactly two gradient evaluations for all layers.
+* `full_precision_step` — the same proximal step, for layers that all
+  have the identity projection.
+* `step` — one step of the rule named by the optimizer config key.
 
 The asymmetry of base points (quantized for LAQ, full-precision for the
 backtracking variant) is deliberate and load-bearing.
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureState
-from .errors import StateError
-from .quantizer import QuantGrid, ScaledCode, project
+from .errors import ConfigError, NumericError, StateError
+from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
 @dataclass
@@ -57,13 +63,31 @@ class LayerQuantState:
 
     @classmethod
     def initialize(cls, w0, grid, curvature, m=5):
-        """Project the initial weights with unit metric (no statistics yet)."""
+        """Project the initial weights with unit metric (no statistics yet).
+
+        Rejects a layer whose projection sweep would cross more than
+        `quantizer.MAX_SWEEP_BREAKPOINTS` breakpoints.
+        """
         w0 = np.asarray(w0, dtype=np.float64).copy()
+        breakpoints = w0.size * (grid.resolution - 1)
+        if breakpoints > MAX_SWEEP_BREAKPOINTS:
+            raise ConfigError(
+                f"a {w0.size}-weight layer at {grid.bitwidth} bits needs {breakpoints} "
+                f"projection breakpoints, above the limit of {MAX_SWEEP_BREAKPOINTS}")
         code = project(w0, np.ones_like(w0), grid, m)
         return cls(w=w0, code=code, curvature=curvature)
 
     def w_hat(self):
         return self.code.w_hat()
+
+    def fit(self, w, d, cfg):
+        """The scaled code of weights w under metric d."""
+        return project(w, d, cfg.grid, cfg.m)
+
+    def place(self, w, d, cfg):
+        """Take full-precision weights w and their code under metric d."""
+        self.code = project(w, d, cfg.grid, cfg.m)
+        self.w = w
 
 
 @dataclass
@@ -79,87 +103,132 @@ class FullPrecisionState:
     def w_hat(self):
         return self.w
 
+    def fit(self, w, d, cfg):
+        """Identity projection: there is no code."""
+        return None
+
+    def place(self, w, d, cfg):
+        self.w = w
+
 
 @dataclass
 class TrialState:
-    """One-step-forward quantities; consumed only by blaq_stage2."""
+    """One-step-forward quantities of one layer; consumed only by
+    blaq_stage2.  `code_star` is None for a full-precision layer."""
 
     w_star: np.ndarray
-    code_star: ScaledCode
+    code_star: ScaledCode | None
     g_star: np.ndarray
     d_star: np.ndarray
     base_step: int
 
 
-def laq_step(state, grad_at, cfg):
+def _as_layers(states, grad_at=None):
+    """Layer list and joint gradient; a bare state is the one-layer case."""
+    if isinstance(states, list):
+        return states, grad_at
+    if grad_at is None:
+        return [states], None
+    return [states], lambda points: [grad_at(points[0])]
+
+
+def _proximal_step(states, grad_at, cfg):
+    """Gradient at every layer's quantized point, proximal move from that
+    point, reprojection under the fresh metric."""
+    layers, grad_at = _as_layers(states, grad_at)
+    points = [s.w_hat() for s in layers]
+    for s, w_hat, g in zip(layers, points, grad_at(points)):
+        g = np.asarray(g, dtype=np.float64)
+        d = s.curvature.update(g)
+        s.g_hat, s.d_hat = g, d
+        s.place(w_hat - g / d, d, cfg)
+        s.step_count += 1
+    return states
+
+
+def laq_step(states, grad_at, cfg):
     """One loss-aware step: gradient at the quantized point, proximal
     move from that point, reprojection under the fresh metric."""
-    w_hat = state.w_hat()
-    g = np.asarray(grad_at(w_hat), dtype=np.float64)
-    d = state.curvature.update(g)
-    w_new = w_hat - g / d
-    state.code = project(w_new, d, cfg.grid, cfg.m)
-    state.w = w_new
-    state.g_hat = g
-    state.d_hat = d
-    state.step_count += 1
-    return state
+    return _proximal_step(states, grad_at, cfg)
 
 
-def blaq_stage1(state, grad_at, cfg):
+def blaq_stage1(states, grad_at, cfg):
     """One-step forward search from the full-precision point.
 
-    Requires state.g_hat / state.d_hat to be current for the present
+    Requires each layer's g_hat / d_hat to be current for the present
     quantized point (blaq_step refreshes them).  The trial curvature is
-    advanced on a copy so the real statistics are untouched.
+    advanced on a copy so the real statistics are untouched.  One joint
+    gradient evaluation, at every layer's trial point; returns one
+    TrialState per layer (a bare one for a bare state).
     """
-    if state.g_hat is None or state.d_hat is None:
-        raise StateError("stage 1 needs current gradient and metric; run blaq_step")
-    w_star = state.w - state.g_hat / state.d_hat
-    code_star = project(w_star, state.d_hat, cfg.grid, cfg.m)
-    g_star = np.asarray(grad_at(code_star.w_hat()), dtype=np.float64)
-    trial_curv = state.curvature.copy()
-    d_star = trial_curv.update(g_star)
-    return TrialState(w_star, code_star, g_star, d_star, base_step=state.step_count)
+    layers, grad_at = _as_layers(states, grad_at)
+    w_stars, codes = [], []
+    for s in layers:
+        if s.g_hat is None or s.d_hat is None:
+            raise StateError("stage 1 needs current gradient and metric; run blaq_step")
+        w_stars.append(s.w - s.g_hat / s.d_hat)
+        codes.append(s.fit(w_stars[-1], s.d_hat, cfg))
+    g_stars = grad_at([w if c is None else c.w_hat() for w, c in zip(w_stars, codes)])
+    trials = []
+    for s, w_star, code_star, g_star in zip(layers, w_stars, codes, g_stars):
+        g_star = np.asarray(g_star, dtype=np.float64)
+        d_star = s.curvature.copy().update(g_star)
+        trials.append(TrialState(w_star, code_star, g_star, d_star, base_step=s.step_count))
+    return trials if isinstance(states, list) else trials[0]
 
 
-def blaq_stage2(state, trial, cfg):
+def blaq_stage2(states, trials, cfg):
     """Backtracked update mixing current and trial gradients/metrics."""
-    if trial.base_step != state.step_count:
-        raise StateError(
-            f"stale trial: built at step {trial.base_step}, state is at {state.step_count}"
-        )
+    layers, _ = _as_layers(states)
+    trials = trials if isinstance(trials, list) else [trials]
+    for s, trial in zip(layers, trials):
+        if trial.base_step != s.step_count:
+            raise StateError(
+                f"stale trial: built at step {trial.base_step}, state is at {s.step_count}")
     a = cfg.a
-    g_mix = a * state.g_hat + (1.0 - a) * trial.g_star
-    d_mix = a * state.d_hat + (1.0 - a) * trial.d_star
-    w_new = state.w - g_mix / d_mix
-    state.code = project(w_new, d_mix, cfg.grid, cfg.m)
-    state.w = w_new
-    state.g_hat = g_mix
-    state.d_hat = d_mix
-    state.step_count += 1
-    return state
+    for s, trial in zip(layers, trials):
+        g_mix = a * s.g_hat + (1.0 - a) * trial.g_star
+        d_mix = a * s.d_hat + (1.0 - a) * trial.d_star
+        s.g_hat, s.d_hat = g_mix, d_mix
+        s.place(s.w - g_mix / d_mix, d_mix, cfg)
+        s.step_count += 1
+    return states
 
 
-def blaq_step(state, grad_at, cfg):
+def blaq_step(states, grad_at, cfg):
     """Full backtracking step: refresh, forward search, backtrack.
 
-    Exactly two gradient evaluations: at the current quantized point and
-    at the trial quantized point.
+    Exactly two gradient evaluations: at the current quantized points and
+    at the trial quantized points.
     """
-    g = np.asarray(grad_at(state.w_hat()), dtype=np.float64)
-    state.g_hat = g
-    state.d_hat = state.curvature.update(g)
-    trial = blaq_stage1(state, grad_at, cfg)
-    return blaq_stage2(state, trial, cfg)
+    layers, grad_at = _as_layers(states, grad_at)
+    grads = grad_at([s.w_hat() for s in layers])
+    for s, g in zip(layers, grads):
+        s.g_hat = np.asarray(g, dtype=np.float64)
+        s.d_hat = s.curvature.update(s.g_hat)
+    blaq_stage2(layers, blaq_stage1(layers, grad_at, cfg), cfg)
+    return states
 
 
-def full_precision_step(state, grad_at):
+def full_precision_step(states, grad_at, cfg=None):
     """Adaptive proximal step with the identity projection."""
-    g = np.asarray(grad_at(state.w), dtype=np.float64)
-    d = state.curvature.update(g)
-    state.w = state.w - g / d
-    state.g_hat = g
-    state.d_hat = d
-    state.step_count += 1
-    return state
+    return _proximal_step(states, grad_at, cfg)
+
+
+def step(kind, states, grad_at, cfg):
+    """One step of optimizer `kind` ("laq", "blaq" or "full-precision").
+
+    A NumericError raised inside the step gains the step number.
+    """
+    layers, _ = _as_layers(states)
+    number = layers[0].step_count + 1
+    try:
+        if kind == "laq":
+            return laq_step(states, grad_at, cfg)
+        if kind == "blaq":
+            return blaq_step(states, grad_at, cfg)
+        if kind == "full-precision":
+            return full_precision_step(states, grad_at, cfg)
+    except NumericError as e:
+        raise NumericError(f"{e} at step {number}") from e
+    raise ValueError(f"unknown optimizer {kind!r}")

@@ -20,6 +20,10 @@ ZERO_VECTOR_ALPHA = 1e-8
 
 MAX_BITWIDTH = 16
 
+# Largest breakpoint count n (2^(k-1) - 1) a layer of n weights may bring
+# to the sweep, which holds several arrays of that length at once.
+MAX_SWEEP_BREAKPOINTS = 2 ** 24
+
 
 class QuantGrid:
     """Level set for k-bit weights, sorted ascending."""

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import CurvatureState, LrSchedule
-from .optimizers import BlaqConfig, LayerQuantState, blaq_step, laq_step
+from .optimizers import BlaqConfig, LayerQuantState, step
 from .quantizer import QuantGrid, project
 
 # Relative slack for the trajectory bound check; float noise only, the
@@ -115,10 +115,7 @@ def _run_quantized(objective, kind, grid, a, m, steps, schedule, beta2, eps, w0)
     cfg = BlaqConfig(grid=grid, a=a, m=m)
     trace = [state.w.copy()]
     for _ in range(steps):
-        if kind == "laq":
-            laq_step(state, objective.grad, cfg)
-        else:
-            blaq_step(state, objective.grad, cfg)
+        step(kind, state, objective.grad, cfg)
         trace.append(state.w.copy())
     return state, np.array(trace)
 

@@ -1,10 +1,12 @@
 """Minibatch training loop for the quantized classifier.
 
-All weight layers share each network gradient evaluation: the loss-aware
-step uses one evaluation per minibatch, the backtracking step exactly
-two (current point, then all layers' trial points simultaneously).
-Weight matrices are quantized per layer; biases follow the same adaptive
-rule without projection.
+Each weight matrix is a `LayerQuantState` (a `FullPrecisionState` for
+the full-precision baseline) and each bias a `FullPrecisionState`; one
+call of `optimizers.step` per minibatch moves them all, with a joint
+gradient from one network evaluation.  The loss-aware step therefore
+evaluates the network once per minibatch and the backtracking step
+exactly twice (current point, then every layer's trial point, biases
+included).  The trainer does no update arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from .curvature import CurvatureState
 from .metrics import TrajectoryRecord, sample_coordinates
 from .models import MlpClassifier
-from .quantizer import QuantGrid, project
+from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
+from .quantizer import QuantGrid
 
 
 @dataclass
@@ -27,41 +30,6 @@ class TrainResult:
     final_accuracy: float = 0.0
     layer_alphas: list = field(default_factory=list)
     steps_per_epoch: int = 0
-
-
-class _LayerSlot:
-    """Bookkeeping for one quantized weight matrix."""
-
-    def __init__(self, w0, grid, schedule, beta2, eps, m):
-        self.w = w0.reshape(-1).copy()
-        self.curvature = CurvatureState(self.w.size, schedule, beta2, eps)
-        self.code = project(self.w, np.ones_like(self.w), grid, m)
-        self.g_hat = None
-        self.d_hat = None
-
-    def w_hat(self):
-        return self.code.w_hat()
-
-
-class _PlainSlot:
-    """Full-precision parameter group with its own curvature state."""
-
-    def __init__(self, w0, schedule, beta2, eps):
-        self.w = w0.reshape(-1).copy()
-        self.curvature = CurvatureState(self.w.size, schedule, beta2, eps)
-
-
-def _tracked_values(slots, coords, layer_offsets, quantized):
-    out = np.empty(len(coords))
-    for j, flat in enumerate(coords):
-        li = np.searchsorted(layer_offsets, flat, side="right") - 1
-        local = flat - layer_offsets[li]
-        slot = slots[li]
-        if quantized:
-            out[j] = slot.code.beta[local] if hasattr(slot, "code") else slot.w[local]
-        else:
-            out[j] = slot.w[local]
-    return out
 
 
 def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
@@ -82,36 +50,48 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
 
     model = MlpClassifier(sizes, seed=init_seed)
     grid = QuantGrid(bitwidth)
+    cfg = BlaqConfig(grid=grid, a=a, m=m)
     quantize = optimizer in ("laq", "blaq")
 
-    slots = []
-    for name in model.weight_names:
-        w0 = model.graph.get_parameter(name)
-        if quantize:
-            slots.append(_LayerSlot(w0, grid, schedule, beta2, eps, m))
-        else:
-            slots.append(_PlainSlot(w0, schedule, beta2, eps))
-    biases = [_PlainSlot(model.graph.get_parameter(n), schedule, beta2, eps)
-              for n in model.bias_names]
+    def initial_state(name, quantized):
+        w0 = model.graph.get_parameter(name).reshape(-1)
+        curvature = CurvatureState(w0.size, schedule, beta2, eps)
+        if quantized:
+            return LayerQuantState.initialize(w0, grid, curvature, m=m)
+        return FullPrecisionState(w=w0.copy(), curvature=curvature)
 
-    sizes_flat = [int(np.prod(s)) for s in model.weight_shapes]
-    layer_offsets = np.concatenate([[0], np.cumsum(sizes_flat)])[:-1]
-    total = int(np.sum(sizes_flat))
+    weights = [initial_state(name, quantize) for name in model.weight_names]
+    states = weights + [initial_state(name, False) for name in model.bias_names]
+    n_weights = len(weights)
+
+    offsets = np.cumsum([0] + [s.w.size for s in weights])
     track_rng = np.random.default_rng(track_seed)
-    coords = [int(c) for c in sample_coordinates(track_rng, total, track_coords)]
+    coords = [int(c) for c in sample_coordinates(track_rng, int(offsets[-1]), track_coords)]
+    tracked = []    # (layer state, index in the layer) per tracked coordinate
+    for c in coords:
+        li = int(np.searchsorted(offsets, c, side="right")) - 1
+        tracked.append((weights[li], c - int(offsets[li])))
 
-    def weight_values():
-        return [s.w_hat().reshape(shape) if quantize else s.w.reshape(shape)
-                for s, shape in zip(slots, model.weight_shapes)]
+    def tracked_values(levels):
+        """The tracked coordinates' full-precision weights, or their grid
+        levels when `levels` is set."""
+        return np.array([s.code.beta[i] if levels else s.w[i] for s, i in tracked],
+                        dtype=np.float64)
 
-    def bias_values():
-        return [b.w for b in biases]
+    def split(points):
+        """Weight matrices and bias vectors of a joint point list."""
+        return ([p.reshape(shape) for p, shape in zip(points, model.weight_shapes)],
+                points[n_weights:])
+
+    def test_accuracy():
+        return model.accuracy(dataset.test_images, dataset.test_labels,
+                              *split([s.w_hat() for s in states]))
 
     result = TrainResult(tracked_coords=coords)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(dataset.train_images)
-    step = 0
-    prev_w = _tracked_values(slots, coords, layer_offsets, quantized=False)
+    t = 0
+    prev_w = tracked_values(False)
 
     for epoch in range(1, epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -119,71 +99,28 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
             x, y = dataset.train_images[idx], dataset.train_labels[idx]
+            losses = []
 
-            loss, wg, bg = model.eval_batch(x, y, weight_values(), bias_values())
+            def grad_at(points):
+                loss, wg, bg = model.eval_batch(x, y, *split(points))
+                losses.append(loss)
+                return wg + bg
+
+            step(optimizer, states, grad_at, cfg)
+            loss = losses[0]
             epoch_losses.append(loss)
 
-            if optimizer == "full-precision":
-                for slot, g in zip(slots, wg):
-                    d = slot.curvature.update(g)
-                    slot.w = slot.w - g / d
-                for bias, g in zip(biases, bg):
-                    d = bias.curvature.update(g)
-                    bias.w = bias.w - g / d
-            elif optimizer == "laq":
-                for slot, g in zip(slots, wg):
-                    d = slot.curvature.update(g)
-                    w_new = slot.w_hat() - g / d
-                    slot.code = project(w_new, d, grid, m)
-                    slot.w = w_new
-                for bias, g in zip(biases, bg):
-                    d = bias.curvature.update(g)
-                    bias.w = bias.w - g / d
-            else:  # blaq: shared trial evaluation across all layers
-                trial_weights = []
-                for slot, g in zip(slots, wg):
-                    slot.g_hat = g
-                    slot.d_hat = slot.curvature.update(g)
-                    w_star = slot.w - g / slot.d_hat
-                    code_star = project(w_star, slot.d_hat, grid, m)
-                    trial_weights.append((code_star.w_hat()))
-                for bias, g in zip(biases, bg):
-                    bias.g_hat = g
-                    bias.d_hat = bias.curvature.update(g)
-
-                _, wg2, bg2 = model.eval_batch(
-                    x, y,
-                    [tw.reshape(shape) for tw, shape in zip(trial_weights, model.weight_shapes)],
-                    bias_values())
-
-                for slot, g_star in zip(slots, wg2):
-                    d_star = slot.curvature.copy().update(g_star)
-                    g_mix = a * slot.g_hat + (1.0 - a) * g_star
-                    d_mix = a * slot.d_hat + (1.0 - a) * d_star
-                    w_new = slot.w - g_mix / d_mix
-                    slot.code = project(w_new, d_mix, grid, m)
-                    slot.w = w_new
-                for bias, g_star in zip(biases, bg2):
-                    d_star = bias.curvature.copy().update(g_star)
-                    g_mix = a * bias.g_hat + (1.0 - a) * g_star
-                    d_mix = a * bias.d_hat + (1.0 - a) * d_star
-                    bias.w = bias.w - g_mix / d_mix
-
-            cur_w = _tracked_values(slots, coords, layer_offsets, quantized=False)
-            cur_q = _tracked_values(slots, coords, layer_offsets, quantized=quantize)
-            result.trajectory.append(step, loss, cur_w, cur_q, cur_w - prev_w)
+            cur_w = tracked_values(False)
+            result.trajectory.append(t, loss, cur_w, tracked_values(quantize), cur_w - prev_w)
             prev_w = cur_w
-            step += 1
+            t += 1
 
-        accuracy = model.accuracy(dataset.test_images, dataset.test_labels,
-                                  weight_values(), bias_values()) if eval_test_every_epoch else float("nan")
+        accuracy = test_accuracy() if eval_test_every_epoch else float("nan")
         result.epoch_rows.append((epoch, float(np.mean(epoch_losses)), accuracy))
 
     if not eval_test_every_epoch:
-        accuracy = model.accuracy(dataset.test_images, dataset.test_labels,
-                                  weight_values(), bias_values())
-        result.epoch_rows[-1] = (epochs, result.epoch_rows[-1][1], accuracy)
+        result.epoch_rows[-1] = (epochs, result.epoch_rows[-1][1], test_accuracy())
     result.final_accuracy = result.epoch_rows[-1][2]
-    result.layer_alphas = [float(s.code.alpha) if quantize else None for s in slots]
+    result.layer_alphas = [float(s.code.alpha) if quantize else None for s in weights]
     result.steps_per_epoch = int(np.ceil(n / batch_size))
     return result

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blaq.autodiff import Graph, Tensor
+from blaq.autodiff import Graph
 from blaq.errors import NumericError, StateError
 from blaq.models import MlpClassifier, fig1_quadratic
 from helpers import finite_difference_grad, grads_close
@@ -16,19 +16,6 @@ def scalar_square_graph(value):
     w = g.parameter("w", [value])
     g.mark_loss(g.reduce_sum(g.square(w)))
     return g
-
-
-class TestTensor:
-    def test_shape_and_flat_data(self):
-        t = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert t.shape == (2, 3)
-        assert list(t.data) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Tensor([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            Tensor([float("inf")])
 
 
 class TestForward:

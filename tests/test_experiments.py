@@ -248,3 +248,28 @@ class TestCli:
                                 "window": 10, "output_dir": str(tmp_path / "r")})
         out = run(cfg)
         assert "metrics" in out
+
+
+class TestCliLimits:
+    @pytest.mark.parametrize("argv, where", [
+        (["toy-pow32", "--eta-schedule", "[[0,1e300]]"], "node 2 (power) at step 1"),
+        (["toy2d", "--omega0", "[1e308,1]"], "node 3 (square)"),
+    ])
+    def test_divergence_exit_three(self, tmp_path, capsys, argv, where):
+        code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("diverged: ") and where in err
+        assert "Traceback" not in err
+
+    def test_sweep_breakpoint_limit_exit_two(self, tmp_path, capsys):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"),
+                                          n_train=40, n_test=20, seed=2)
+        out = tmp_path / "run"
+        code = cli_main(["train-mnist", "--bitwidth", "9", "--data-dir", data_dir,
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert "breakpoints" in capsys.readouterr().err
+        assert not (out / "training.csv").exists()
+        assert cli_main(["theory-check", "--theory-dim", "1000", "--bitwidth", "16",
+                         "--output-dir", str(tmp_path / "theory")]) == 2

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from blaq.curvature import CurvatureState, LrSchedule
-from blaq.errors import StateError
+from blaq.errors import ConfigError, NumericError, StateError
 from blaq.metrics import TrajectoryRecord, flip_count
 from blaq.models import abs_power_objective, fig1_quadratic
 from blaq.optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
                              blaq_stage1, blaq_stage2, blaq_step,
-                             full_precision_step, laq_step)
-from blaq.quantizer import QuantGrid, ScaledCode, project
+                             full_precision_step, laq_step, step)
+from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
 class FixedCurvature:
@@ -316,3 +316,98 @@ class TestPow32Counterexample:
 
         assert flips("laq") >= 50
         assert flips("blaq") <= 5
+
+
+def separable_parts():
+    """Two independent objectives: the 2-D quadratic and the 3/2 power."""
+    return fig1_quadratic(), abs_power_objective(c=1.0, w0=[0.5])
+
+
+def fresh_layer(kind, w0, quantized):
+    curv = CurvatureState(len(w0), LrSchedule.constant(0.05))
+    if quantized:
+        return LayerQuantState.initialize(np.array(w0), QuantGrid(2), curv)
+    return FullPrecisionState(w=np.array(w0), curvature=curv)
+
+
+class TestLayerLists:
+    @pytest.mark.parametrize("kind, quantized", [
+        ("laq", (True, False)), ("blaq", (True, False)),
+        ("full-precision", (False, False))])
+    def test_joint_step_equals_single_steps(self, kind, quantized):
+        quad, power = separable_parts()
+        cfg = BlaqConfig(grid=QuantGrid(2), a=0.6, m=5)
+        starts = ([1.0, 1.0], [0.5])
+        joint = [fresh_layer(kind, w0, q) for w0, q in zip(starts, quantized)]
+        alone = [fresh_layer(kind, w0, q) for w0, q in zip(starts, quantized)]
+
+        def joint_grad(points):
+            return [quad.grad_at(points[0]), power.grad_at(points[1])]
+
+        for _ in range(6):
+            step(kind, joint, joint_grad, cfg)
+            step(kind, alone[0], quad.grad_at, cfg)
+            step(kind, alone[1], power.grad_at, cfg)
+        for j, s in zip(joint, alone):
+            assert np.array_equal(j.w, s.w)
+            assert np.array_equal(j.g_hat, s.g_hat)
+            assert np.array_equal(j.d_hat, s.d_hat)
+            assert j.step_count == s.step_count == 6
+        if quantized[0]:
+            assert joint[0].code.alpha == alone[0].code.alpha
+            assert np.array_equal(joint[0].code.beta, alone[0].code.beta)
+
+    @pytest.mark.parametrize("kind, evaluations", [
+        ("laq", 1), ("blaq", 2), ("full-precision", 1)])
+    def test_one_joint_evaluation_per_gradient(self, kind, evaluations):
+        quad, power = separable_parts()
+        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
+        layers = [fresh_layer(kind, [1.0, 1.0], kind != "full-precision"),
+                  fresh_layer(kind, [0.5], False)]
+        calls = []
+
+        def grad(points):
+            calls.append(len(points))
+            return [quad.grad_at(points[0]), power.grad_at(points[1])]
+
+        for _ in range(4):
+            step(kind, layers, grad, cfg)
+        assert calls == [2] * (4 * evaluations)
+
+    def test_full_precision_trial_point_is_the_forward_step(self):
+        # a full-precision layer's trial point is w - g/D, not w
+        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
+        layers = [make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([2.0, 4.0])),
+                  FullPrecisionState(w=np.array([1.0]), curvature=FixedCurvature([4.0]))]
+        seen = []
+
+        def grad(points):
+            seen.append([np.array(p) for p in points])
+            return [np.array([0.1, -0.2]), np.array([2.0])]
+
+        blaq_step(layers, grad, cfg)
+        assert np.array_equal(seen[1][1], [0.5])
+        w_star = np.array([0.4, -0.4]) - np.array([0.1, -0.2]) / np.array([2.0, 4.0])
+        trial_code = project(w_star, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        assert np.array_equal(seen[1][0], trial_code.w_hat())
+
+    def test_unknown_kind_rejected(self):
+        state = fresh_layer("laq", [1.0, 1.0], True)
+        with pytest.raises(ValueError):
+            step("sgd", state, fig1_quadratic().grad_at,
+                 BlaqConfig(grid=QuantGrid(1)))
+
+    def test_divergence_names_the_step(self):
+        def grad(w):
+            raise NumericError("non-finite value at node 2 (power)")
+
+        state = fresh_layer("blaq", [1.0, 1.0], True)
+        state.step_count = 41
+        with pytest.raises(NumericError, match=r"node 2 \(power\) at step 42"):
+            step("blaq", state, grad, BlaqConfig(grid=QuantGrid(1)))
+
+    def test_breakpoint_limit_rejects_layer(self):
+        grid = QuantGrid(16)
+        n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
+        with pytest.raises(ConfigError):
+            LayerQuantState.initialize(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
