@@ -10,8 +10,7 @@ from .curvature import CurvatureState, LrSchedule
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
 from .optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
-                         TrialState, blaq_stage1, blaq_stage2, blaq_step,
-                         full_precision_step, laq_step)
+                         blaq_step, full_precision_step, laq_step)
 from .quantizer import QuantGrid, ScaledCode, nearest_level, project
 from .theory import (DiagonalQuadratic, TheoryParams, compare_convergence,
                      theorem1_bound, theorem2_region)
@@ -20,11 +19,10 @@ __all__ = [
     "Graph", "CurvatureState", "LrSchedule", "TrajectoryRecord",
     "direction_change_count", "flip_count", "oscillation_amplitude",
     "steps_to_tolerance", "BlaqConfig", "FullPrecisionState",
-    "LayerQuantState", "TrialState", "blaq_stage1", "blaq_stage2",
-    "blaq_step", "full_precision_step", "laq_step", "QuantGrid",
-    "ScaledCode", "nearest_level", "project", "DiagonalQuadratic",
-    "TheoryParams", "compare_convergence", "theorem1_bound",
-    "theorem2_region",
+    "LayerQuantState", "blaq_step", "full_precision_step", "laq_step",
+    "QuantGrid", "ScaledCode", "nearest_level", "project",
+    "DiagonalQuadratic", "TheoryParams", "compare_convergence",
+    "theorem1_bound", "theorem2_region",
 ]
 
 __version__ = "0.1.0"

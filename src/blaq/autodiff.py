@@ -226,9 +226,6 @@ class Graph:
     def get_parameter(self, name):
         return self.nodes[self._params[name]].value.copy()
 
-    def parameter_names(self):
-        return list(self._params)
-
     def _new(self, kind, input_nodes, shape, aux=None):
         node = Node(len(self.nodes), kind, [n.uid for n in input_nodes], shape, aux)
         self.nodes.append(node)

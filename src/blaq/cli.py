@@ -38,7 +38,8 @@ def build_parser():
         description="Loss-aware quantization experiments and diagnostics.")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+        # no prefix matching, so that an override such as --c is not --config
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", default=None, help="JSON config file")
     return parser
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .curvature import LrSchedule
@@ -16,6 +17,14 @@ OPTIMIZERS = ("laq", "blaq", "full-precision")
 
 def _valid_bitwidth(k):
     return isinstance(k, int) and 1 <= k <= MAX_BITWIDTH
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x):
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
 
 
 @dataclass
@@ -59,6 +68,9 @@ class ExperimentConfig:
             self.beta2 = 0.95 if self.experiment == "theory-check" else 0.999
         if self.seed is None:
             self.seed = 5 if self.experiment == "theory-check" else 0
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
         if not _valid_bitwidth(self.bitwidth):
@@ -76,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"steps must be a positive integer, got {self.steps!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.window < 1:
-            raise ConfigError(f"window must be positive, got {self.window}")
+        if self.window < 2:
+            raise ConfigError(f"window must be >= 2, got {self.window}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.track_coords <= 8:
             raise ConfigError(f"track_coords must be in 1..8, got {self.track_coords}")
         if self.c <= 0.0:
@@ -86,6 +100,14 @@ class ExperimentConfig:
             raise ConfigError(f"n_instances must be positive, got {self.n_instances}")
         if self.theory_dim < 2:
             raise ConfigError(f"theory_dim must be >= 2, got {self.theory_dim}")
+        if self.omega0 is not None and not (
+                isinstance(self.omega0, list) and self.omega0
+                and all(_is_finite_number(x) for x in self.omega0)):
+            raise ConfigError(f"omega0 must be a non-empty list of finite numbers, "
+                              f"got {self.omega0!r}")
+        if not (isinstance(self.hidden, list)
+                and all(_is_int(h) and h > 0 for h in self.hidden)):
+            raise ConfigError(f"hidden must be a list of positive integers, got {self.hidden!r}")
         if self.sweep_bitwidths is not None:
             if not all(_valid_bitwidth(k) for k in self.sweep_bitwidths):
                 raise ConfigError(f"sweep_bitwidths must be integers in 1..{MAX_BITWIDTH}, "
@@ -101,7 +123,7 @@ class ExperimentConfig:
             return default
         try:
             return LrSchedule(self.eta_schedule)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise ConfigError(f"bad eta_schedule: {e}") from e
 
     def echo(self, **resolved):

@@ -9,6 +9,8 @@ update eta * g / (sqrt(v_hat) + eps).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -30,8 +32,8 @@ class LrSchedule:
         steps = [s for s, _ in entries]
         if sorted(set(steps)) != steps:
             raise ValueError("schedule steps must be strictly increasing")
-        if any(v <= 0.0 for _, v in entries):
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < v < math.inf for _, v in entries):
+            raise ValueError("learning rates must be finite and positive")
         self.entries = entries
 
     @classmethod

@@ -286,7 +286,7 @@ def run_train_mnist(cfg, dataset=None):
         track_coords=cfg.track_coords)
 
     total_steps = len(result.trajectory)
-    quarter = max(total_steps // 4, 2)
+    quarter = min(max(total_steps // 4, 2), total_steps)
     flips = {str(cid): flip_count(result.trajectory, j, quarter)
              for j, cid in enumerate(result.tracked_coords)}
     metrics = {

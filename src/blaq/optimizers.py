@@ -9,10 +9,10 @@ weights and the biases of a network take the same step.
 
 * `laq_step` — proximal step taken from the quantized point, then a
   weighted projection back onto the scaled grid; one gradient evaluation.
-* `blaq_stage1` / `blaq_stage2` — a trial step from the full-precision
-  point followed by a backtracked update using the convex combination of
-  the current and trial gradients (and metrics).  `blaq_step` drives the
-  two stages with exactly two gradient evaluations for all layers.
+* `blaq_step` — a trial step from the full-precision point followed by a
+  backtracked update using the convex combination of the current and
+  trial gradients (and metrics); exactly two gradient evaluations for
+  all layers.
 * `full_precision_step` — the same proximal step, for layers that all
   have the identity projection.
 * `step` — one step of the rule named by the optimizer config key.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureState
-from .errors import ConfigError, NumericError, StateError
+from .errors import ConfigError, NumericError
 from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
@@ -111,18 +111,6 @@ class FullPrecisionState:
         self.w = w
 
 
-@dataclass
-class TrialState:
-    """One-step-forward quantities of one layer; consumed only by
-    blaq_stage2.  `code_star` is None for a full-precision layer."""
-
-    w_star: np.ndarray
-    code_star: ScaledCode | None
-    g_star: np.ndarray
-    d_star: np.ndarray
-    base_step: int
-
-
 def _as_layers(states, grad_at=None):
     """Layer list and joint gradient; a bare state is the one-layer case."""
     if isinstance(states, list):
@@ -152,61 +140,32 @@ def laq_step(states, grad_at, cfg):
     return _proximal_step(states, grad_at, cfg)
 
 
-def blaq_stage1(states, grad_at, cfg):
-    """One-step forward search from the full-precision point.
-
-    Requires each layer's g_hat / d_hat to be current for the present
-    quantized point (blaq_step refreshes them).  The trial curvature is
-    advanced on a copy so the real statistics are untouched.  One joint
-    gradient evaluation, at every layer's trial point; returns one
-    TrialState per layer (a bare one for a bare state).
-    """
-    layers, grad_at = _as_layers(states, grad_at)
-    w_stars, codes = [], []
-    for s in layers:
-        if s.g_hat is None or s.d_hat is None:
-            raise StateError("stage 1 needs current gradient and metric; run blaq_step")
-        w_stars.append(s.w - s.g_hat / s.d_hat)
-        codes.append(s.fit(w_stars[-1], s.d_hat, cfg))
-    g_stars = grad_at([w if c is None else c.w_hat() for w, c in zip(w_stars, codes)])
-    trials = []
-    for s, w_star, code_star, g_star in zip(layers, w_stars, codes, g_stars):
-        g_star = np.asarray(g_star, dtype=np.float64)
-        d_star = s.curvature.copy().update(g_star)
-        trials.append(TrialState(w_star, code_star, g_star, d_star, base_step=s.step_count))
-    return trials if isinstance(states, list) else trials[0]
-
-
-def blaq_stage2(states, trials, cfg):
-    """Backtracked update mixing current and trial gradients/metrics."""
-    layers, _ = _as_layers(states)
-    trials = trials if isinstance(trials, list) else [trials]
-    for s, trial in zip(layers, trials):
-        if trial.base_step != s.step_count:
-            raise StateError(
-                f"stale trial: built at step {trial.base_step}, state is at {s.step_count}")
-    a = cfg.a
-    for s, trial in zip(layers, trials):
-        g_mix = a * s.g_hat + (1.0 - a) * trial.g_star
-        d_mix = a * s.d_hat + (1.0 - a) * trial.d_star
-        s.g_hat, s.d_hat = g_mix, d_mix
-        s.place(s.w - g_mix / d_mix, d_mix, cfg)
-        s.step_count += 1
-    return states
-
-
 def blaq_step(states, grad_at, cfg):
-    """Full backtracking step: refresh, forward search, backtrack.
+    """One backtracking step: refresh, forward search, backtrack.
 
-    Exactly two gradient evaluations: at the current quantized points and
-    at the trial quantized points.
+    Exactly two joint gradient evaluations.  The first, at the current
+    quantized points, refreshes each layer's g_hat / d_hat.  The second
+    is at the trial points: the codes of w - g_hat/d_hat, taken from the
+    full-precision w.  The trial metric advances a copy of the curvature,
+    so the real statistics are untouched.  Each layer then steps from w
+    with the mixtures a*g_hat + (1-a)*g* and a*d_hat + (1-a)*d*.
     """
     layers, grad_at = _as_layers(states, grad_at)
-    grads = grad_at([s.w_hat() for s in layers])
-    for s, g in zip(layers, grads):
+    trial_points = []
+    for s, g in zip(layers, grad_at([s.w_hat() for s in layers])):
         s.g_hat = np.asarray(g, dtype=np.float64)
         s.d_hat = s.curvature.update(s.g_hat)
-    blaq_stage2(layers, blaq_stage1(layers, grad_at, cfg), cfg)
+        w_star = s.w - s.g_hat / s.d_hat
+        code_star = s.fit(w_star, s.d_hat, cfg)
+        trial_points.append(w_star if code_star is None else code_star.w_hat())
+    a = cfg.a
+    for s, g_star in zip(layers, grad_at(trial_points)):
+        g_star = np.asarray(g_star, dtype=np.float64)
+        d_star = s.curvature.copy().update(g_star)
+        s.g_hat = a * s.g_hat + (1.0 - a) * g_star
+        s.d_hat = a * s.d_hat + (1.0 - a) * d_star
+        s.place(s.w - s.g_hat / s.d_hat, s.d_hat, cfg)
+        s.step_count += 1
     return states
 
 

@@ -147,12 +147,11 @@ def _sweep_scale(w, d, grid):
 def _fit(w, d, grid):
     """Swept scale, then one code half-step and one scale half-step.
 
-    Returns (alpha0, alpha, beta): the swept scale and the final code.
+    Returns the final code as (alpha, beta).
     """
-    alpha0 = _sweep_scale(w, d, grid)
-    beta = nearest_level(grid, w / alpha0)
+    beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
     alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
-    return alpha0, alpha, beta
+    return alpha, beta
 
 
 def project(w, d, grid, m):
@@ -170,19 +169,7 @@ def project(w, d, grid, m):
     w, d = _validate_projection_args(w, d, m)
     if not np.any(w):
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w))
-    _, alpha, beta = _fit(w, d, grid)
-    return ScaledCode(alpha, beta)
-
-
-def project_with_trace(w, d, grid, m):
-    """Like project, but also returns the objective after each of the
-    two finishing half-steps (non-increasing by construction)."""
-    w, d = _validate_projection_args(w, d, m)
-    if not np.any(w):
-        return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w)), []
-    alpha0, alpha, beta = _fit(w, d, grid)
-    trace = [weighted_objective(w, d, alpha0, beta), weighted_objective(w, d, alpha, beta)]
-    return ScaledCode(alpha, beta), trace
+    return ScaledCode(*_fit(w, d, grid))
 
 
 def exhaustive_project(w, d, grid):

@@ -35,7 +35,7 @@ class TrainResult:
 def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
                      schedule=None, beta2=0.999, eps=1e-8, epochs=20,
                      batch_size=128, seed=0, hidden=(256, 128, 64),
-                     track_coords=8, eval_test_every_epoch=True):
+                     track_coords=8):
     """Train the relu classifier with the chosen update rule.
 
     Returns a TrainResult with per-epoch loss/accuracy, a per-step
@@ -115,11 +115,8 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
             prev_w = cur_w
             t += 1
 
-        accuracy = test_accuracy() if eval_test_every_epoch else float("nan")
-        result.epoch_rows.append((epoch, float(np.mean(epoch_losses)), accuracy))
+        result.epoch_rows.append((epoch, float(np.mean(epoch_losses)), test_accuracy()))
 
-    if not eval_test_every_epoch:
-        result.epoch_rows[-1] = (epochs, result.epoch_rows[-1][1], test_accuracy())
     result.final_accuracy = result.epoch_rows[-1][2]
     result.layer_alphas = [float(s.code.alpha) if quantize else None for s in weights]
     result.steps_per_epoch = int(np.ceil(n / batch_size))

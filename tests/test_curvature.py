@@ -35,6 +35,9 @@ class TestLrSchedule:
             LrSchedule([(0, 0.1), (0, 0.2)])
         with pytest.raises(ValueError):
             LrSchedule([(0, 0.1), (10, -0.2)])
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                LrSchedule([(0, 0.1), (10, rate)])
 
 
 class TestCurvatureUpdate:

@@ -243,6 +243,12 @@ class TestCli:
         assert cli_main(["toy-pow32", "--config", str(cfg_path)]) == 0
         assert os.path.exists(tmp_path / "run" / "metrics.json")
 
+    def test_short_override_is_not_the_config_flag(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["toy-pow32", "--c", "2.0", "--steps", "20", "--window", "10",
+                         "--output-dir", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["c"] == 2.0
+
     def test_dispatcher(self, tmp_path):
         cfg = config_from_dict({"experiment": "toy-pow32", "steps": 30,
                                 "window": 10, "output_dir": str(tmp_path / "r")})
@@ -273,3 +279,38 @@ class TestCliLimits:
         assert not (out / "training.csv").exists()
         assert cli_main(["theory-check", "--theory-dim", "1000", "--bitwidth", "16",
                          "--output-dir", str(tmp_path / "theory")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["toy2d", "--eps", "NaN"],
+        ["toy2d", "--eps", "Infinity"],
+        ["toy2d", "--eta-schedule", "[[0,NaN]]"],
+        ["toy2d", "--eta-schedule", "[[0,Infinity]]"],
+        ["toy2d", "--eta-schedule", "[[0,0.1],[Infinity,0.2]]"],
+        ["toy2d", "--window", "1"],
+        ["theory-check", "--seed", "-1"],
+        ["train-mnist", "--seed", "-1"],
+        ["toy2d", "--omega0", "5"],
+        ["toy2d", "--omega0", "[Infinity,1]"],
+        ["toy2d", "--omega0", "[]"],
+        ["toy-pow32", "--omega0", "[]"],
+        ["toy-pow32", "--c", "-Infinity"],
+        ["train-mnist", "--hidden", "[0]"],
+        ["train-mnist", "--hidden", "[-3]"],
+        ["train-mnist", "--hidden", "5"],
+        ["train-mnist", "--hidden", "[2.5]"],
+    ])
+    def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
+        code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_one_step_mnist_run(self, tmp_path):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"),
+                                          n_train=40, n_test=20, seed=2)
+        out = tmp_path / "run"
+        assert cli_main(["train-mnist", "--epochs", "1", "--data-dir", data_dir,
+                         "--output-dir", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["final_quarter_window"] == 1

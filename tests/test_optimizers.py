@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from blaq.curvature import CurvatureState, LrSchedule
-from blaq.errors import ConfigError, NumericError, StateError
+from blaq.errors import ConfigError, NumericError
 from blaq.metrics import TrajectoryRecord, flip_count
 from blaq.models import abs_power_objective, fig1_quadratic
 from blaq.optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
-                             blaq_stage1, blaq_stage2, blaq_step,
-                             full_precision_step, laq_step, step)
+                             blaq_step, full_precision_step, laq_step, step)
 from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
@@ -84,77 +83,62 @@ class TestLaqStep:
 
 
 class TestBlaqStages:
+    """The forward search and the backtrack inside one blaq_step, seen
+    through the second evaluation point and the g_hat left after the step."""
+
     def test_stage1_base_point_is_full_precision(self):
-        # w = [0.35, -0.35], g = [0.1, -0.2], D = [2, 4] -> w* = [0.30, -0.30]
-        state = make_state([0.35, -0.35], 0.35, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        state.g_hat = np.array([0.1, -0.2])
-        state.d_hat = np.array([2.0, 4.0])
+        # w = [0.35, -0.35] differs from w_hat = [0.5, -0.5]; g = [0.1, -0.2],
+        # D = [2, 4] -> the trial point is the code of w* = [0.30, -0.30]
+        state = make_state([0.35, -0.35], 0.5, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
         cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        trial = blaq_stage1(state, CountingGrad(lambda w: np.zeros(2)), cfg)
-        assert np.allclose(trial.w_star, [0.30, -0.30], atol=1e-15)
+        grad = CountingGrad(lambda w: np.array([0.1, -0.2]))
+        blaq_step(state, grad, cfg)
+        assert np.array_equal(grad.points[0], [0.5, -0.5])
+        w_star = np.array([0.35, -0.35]) - np.array([0.1, -0.2]) / np.array([2.0, 4.0])
+        assert np.allclose(w_star, [0.30, -0.30], atol=1e-15)
+        expected = project(w_star, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        assert np.array_equal(grad.points[1], expected.w_hat())
 
     def test_stage1_zero_gradient(self):
-        state = make_state([0.35, -0.35], 0.35, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        state.g_hat = np.zeros(2)
-        state.d_hat = np.array([2.0, 4.0])
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        trial = blaq_stage1(state, CountingGrad(lambda w: np.zeros(2)), cfg)
-        assert np.array_equal(trial.w_star, state.w)
-        expected = project(state.w, state.d_hat, cfg.grid, cfg.m)
-        assert np.array_equal(trial.code_star.beta, expected.beta)
+        w = np.array([0.35, -0.2])
+        state = make_state(w, 0.5, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
+        cfg = BlaqConfig(grid=QuantGrid(2), a=0.6, m=5)
+        grad = CountingGrad(lambda w: np.zeros(2))
+        blaq_step(state, grad, cfg)
+        expected = project(w, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        assert np.array_equal(grad.points[1], expected.w_hat())
 
     def test_stage1_from_origin_moves_along_negative_gradient(self):
-        # with metric 1/eta the trial moves eta * (0.54, -0.11) from (0, 0)
+        # a full-precision layer's trial point is w - g/D exactly; with
+        # metric 1/eta it lies eta * (0.54, -0.11) from (0, 0)
         obj = fig1_quadratic()
         eta = 0.05
-        state = make_state([0.0, 0.0], 1e-8, [1.0, 1.0],
-                           FixedCurvature([1.0 / eta, 1.0 / eta]))
-        state.w = np.zeros(2)
-        state.g_hat = obj.grad_at([0.0, 0.0])
-        state.d_hat = np.array([1.0 / eta, 1.0 / eta])
+        state = FullPrecisionState(w=np.zeros(2),
+                                   curvature=FixedCurvature([1.0 / eta, 1.0 / eta]))
         cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        trial = blaq_stage1(state, CountingGrad(lambda w: np.zeros(2)), cfg)
-        assert np.allclose(trial.w_star, eta * np.array([0.54, -0.11]), atol=1e-15)
+        grad = CountingGrad(obj.grad_at)
+        blaq_step(state, grad, cfg)
+        g = obj.grad_at([0.0, 0.0])
+        assert np.array_equal(grad.points[0], [0.0, 0.0])
+        assert np.array_equal(grad.points[1], np.zeros(2) - g / np.array([1.0 / eta] * 2))
+        assert np.allclose(grad.points[1], eta * np.array([0.54, -0.11]), atol=1e-15)
 
     def test_stage1_trial_gradient_at_trial_point(self):
+        # a = 0: the step keeps exactly the gradient taken at the trial point
         state = make_state([0.35, -0.35], 0.35, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        state.g_hat = np.array([0.1, -0.2])
-        state.d_hat = np.array([2.0, 4.0])
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        grad = CountingGrad(lambda w: np.zeros(2))
-        trial = blaq_stage1(state, grad, cfg)
-        assert np.array_equal(grad.points[0], trial.code_star.w_hat())
+        cfg = BlaqConfig(grid=QuantGrid(1), a=0.0, m=5)
+        grad = CountingGrad(lambda w: np.array([0.1, -0.2]) + np.asarray(w))
+        blaq_step(state, grad, cfg)
+        assert grad.calls == 2
+        assert np.array_equal(state.g_hat, np.array([0.1, -0.2]) + grad.points[1])
 
     def test_stage2_mixing_values(self):
         # a = 0.6, g = [1, 0], g* = [0, 1] -> mixed [0.6, 0.4]
-        state = make_state([0.0, 0.0], 1e-8, [1.0, 1.0], FixedCurvature([1.0, 1.0]))
-        state.w = np.array([1.0, 1.0])
-        state.g_hat = np.array([1.0, 0.0])
-        state.d_hat = np.array([1.0, 1.0])
+        state = make_state([1.0, 1.0], 1e-8, [1.0, 1.0], FixedCurvature([1.0, 1.0]))
         cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        trial = blaq_stage1(state, CountingGrad(lambda w: np.array([0.0, 1.0])), cfg)
-        blaq_stage2(state, trial, cfg)
+        answers = iter([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        blaq_step(state, CountingGrad(lambda w: next(answers)), cfg)
         assert np.allclose(state.g_hat, [0.6, 0.4], atol=1e-15)
-
-    def test_stale_trial_rejected(self):
-        obj = fig1_quadratic()
-        grid = QuantGrid(1)
-        state = LayerQuantState.initialize(
-            np.array([1.0, 1.0]), grid,
-            CurvatureState(2, LrSchedule.constant(0.1)))
-        cfg = BlaqConfig(grid=grid, a=0.6, m=5)
-        state.g_hat = obj.grad_at(state.w_hat())
-        state.d_hat = state.curvature.update(state.g_hat)
-        trial = blaq_stage1(state, obj.grad_at, cfg)
-        blaq_stage2(state, trial, cfg)   # advances the step counter
-        with pytest.raises(StateError):
-            blaq_stage2(state, trial, cfg)
-
-    def test_stage1_requires_refresh(self):
-        state = make_state([1.0, 1.0], 1.0, [1.0, 1.0], FixedCurvature([1.0, 1.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        with pytest.raises(StateError):
-            blaq_stage1(state, CountingGrad(lambda w: np.zeros(2)), cfg)
 
 
 class TestBlaqStep:
@@ -172,7 +156,7 @@ class TestBlaqStep:
         assert np.array_equal(grad.points[0], grad.points[0])
 
     def test_endpoint_a_one_equals_base_step(self):
-        # a = 1: stage 2 reduces to stepping from w with (g, D)
+        # a = 1: the backtrack reduces to stepping from w with (g, D)
         obj = fig1_quadratic()
         grid = QuantGrid(1)
 

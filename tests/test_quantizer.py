@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from blaq.quantizer import (QuantGrid, ScaledCode, exhaustive_project,
-                            nearest_level, project, project_with_trace,
-                            weighted_objective, ZERO_VECTOR_ALPHA)
+                            nearest_level, project, weighted_objective,
+                            ZERO_VECTOR_ALPHA)
 
 
 class TestQuantGrid:
@@ -115,18 +115,6 @@ class TestProject:
             obj = weighted_objective(w, d, code.alpha, code.beta)
             ref, _, _ = exhaustive_project(w, d, QuantGrid(k))
             assert obj <= ref + 1e-9
-
-    def test_objective_non_increasing_per_half_step(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            n = int(rng.integers(2, 8))
-            k = int(rng.integers(1, 4))
-            w = rng.normal(size=n)
-            if not np.any(w):
-                continue
-            d = rng.uniform(0.05, 4.0, size=n)
-            _, trace = project_with_trace(w, d, QuantGrid(k), m=6)
-            assert all(b <= a + 1e-12 for a, b in zip(trace[:-1], trace[1:]))
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(9)
