@@ -165,7 +165,7 @@ class Graph:
             node = self.nodes[self._placeholders[name]]
             if not _shapes_match(node.shape, arr.shape):
                 raise ValueError(f"input {name!r} has shape {arr.shape}, expected {node.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"input {name!r} must be finite")
             node.value = arr
             bound.add(name)
@@ -178,7 +178,7 @@ class Graph:
                 continue
             args = [self.nodes[i].value for i in node.inputs]
             node.value = _FORWARD[node.kind](node, *args)
-            if not np.all(np.isfinite(node.value)):
+            if not np.isfinite(node.value).all():
                 raise NumericError(f"non-finite value at node {node.uid} ({node.kind})")
         self._forward_done = True
         return float(self.nodes[self._loss_uid].value)

@@ -3,9 +3,10 @@
 Subcommands: toy2d, toy-pow32, train-mnist, theory-check.  Each accepts
 --config FILE plus any number of --key value overrides (values parsed as
 JSON when possible).  Exit codes: 0 success, 1 a run-level assertion
-failed, 2 configuration or data errors, 3 the run diverged (a loss,
-gradient or iterate became non-finite; the message names the graph node
-and, inside an optimizer step, the step number).
+failed, 2 configuration or data errors (an unusable output directory
+included), 3 the run diverged (a loss, gradient or iterate became
+non-finite; the message names the graph node and, inside an optimizer
+step, the step number).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def main(argv=None):
         overrides = _parse_overrides(extra)
         cfg = load_config(args.config, overrides, experiment=args.experiment)
         result = run(cfg)
-    except (ConfigError, FormatError, FileNotFoundError) as e:
+    except (ConfigError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckFailed as e:

@@ -108,10 +108,12 @@ class ExperimentConfig:
         if not (isinstance(self.hidden, list)
                 and all(_is_int(h) and h > 0 for h in self.hidden)):
             raise ConfigError(f"hidden must be a list of positive integers, got {self.hidden!r}")
-        if self.sweep_bitwidths is not None:
-            if not all(_valid_bitwidth(k) for k in self.sweep_bitwidths):
-                raise ConfigError(f"sweep_bitwidths must be integers in 1..{MAX_BITWIDTH}, "
-                                  f"got {self.sweep_bitwidths}")
+        if self.sweep_bitwidths is not None and not (
+                isinstance(self.sweep_bitwidths, list) and self.sweep_bitwidths
+                and all(_valid_bitwidth(k) for k in self.sweep_bitwidths)
+                and len(set(self.sweep_bitwidths)) == len(self.sweep_bitwidths)):
+            raise ConfigError(f"sweep_bitwidths must be a non-empty list of distinct integers "
+                              f"in 1..{MAX_BITWIDTH}, got {self.sweep_bitwidths!r}")
         if self.eta_schedule is not None:
             self.schedule()  # validates
 

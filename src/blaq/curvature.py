@@ -88,7 +88,7 @@ class CurvatureState:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.v.shape:
             raise ValueError(f"gradient shape {g.shape} does not match state {self.v.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("gradient contains non-finite entries")
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
         self.step += 1

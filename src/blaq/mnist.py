@@ -12,7 +12,6 @@ from __future__ import annotations
 import gzip
 import os
 import struct
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +126,7 @@ def default_data_dir():
 
 def fetch_mnist(data_dir, base_url, timeout=60):
     """Download any missing split files (gzipped) from a mirror URL."""
+    import urllib.request   # loads ssl/http/email; only a download needs it
     os.makedirs(data_dir, exist_ok=True)
     for name in FILE_NAMES:
         plain = os.path.join(data_dir, name)

@@ -8,17 +8,33 @@ from .autodiff import Graph
 
 
 class ToyObjective:
-    """A graph over a single parameter vector, with loss/grad helpers."""
+    """A graph over a single parameter vector, with loss/grad helpers.
+
+    The point and loss of the last successful forward pass are kept, so
+    a `grad_at` at the point of the preceding `loss_at` (a toy run's
+    snapshot of w_hat, then the next step's first gradient) runs only the
+    backward pass.  Points match when their float64 bytes do; a forward
+    pass that raises forgets the point.  The memo holds while the graph
+    is driven only through these two methods.
+    """
 
     def __init__(self, graph, param_name, dim):
         self.graph = graph
         self.param_name = param_name
         self.dim = dim
         self._shape = graph.get_parameter(param_name).shape
+        self._last = None           # (point bytes, loss) of the last forward pass
 
     def loss_at(self, w):
-        self.graph.set_parameter(self.param_name, np.asarray(w).reshape(self._shape))
-        return self.graph.forward({})
+        w = np.asarray(w, dtype=np.float64).reshape(self._shape)
+        key = w.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        self._last = None
+        self.graph.set_parameter(self.param_name, w)
+        loss = self.graph.forward({})
+        self._last = (key, loss)
+        return loss
 
     def grad_at(self, w):
         self.loss_at(w)

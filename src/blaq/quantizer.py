@@ -61,9 +61,9 @@ def nearest_level(grid, x):
     n = grid.resolution
     # floor(m + 0.5) rounds half-up on the non-negative magnitude, which is
     # exactly "ties away from zero" after the sign is reapplied.
-    idx = np.clip(np.floor(np.abs(arr) * n + 0.5), 1.0, float(n))
+    idx = np.minimum(np.maximum(np.floor(np.abs(arr) * n + 0.5), 1.0), float(n))
     out = sign * idx / n
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass
@@ -92,7 +92,7 @@ def _validate_projection_args(w, d, m):
     d = np.asarray(d, dtype=np.float64)
     if w.shape != d.shape or w.ndim != 1:
         raise ValueError(f"w and d must be equal-length vectors, got {w.shape} and {d.shape}")
-    if not np.all(d > 0.0):
+    if not (d > 0.0).all():
         raise ValueError("all weights d must be strictly positive")
     if m < 1:
         raise ValueError(f"iteration count m must be >= 1, got {m}")
@@ -113,14 +113,13 @@ def _sweep_scale(w, d, grid):
     within a relative 1e-12 of the best tie (float noise between
     scale-equivalent codes such as [1, 1] and [0.5, 0.5]); the last one,
     with the largest levels and smallest scale, wins.  Returns
-    S_wb / S_bb of the winning prefix.
+    S_wb / S_bb of the winning prefix.  Needs k >= 2: the 1-bit grid has
+    no breakpoints.
     """
     n = grid.resolution
     mags = np.abs(w)
     s_wb = float(np.dot(d, mags)) / n
     s_bb = float(d.sum()) / (n * n)
-    if n == 1:
-        return s_wb / s_bb
     odd = np.arange(3, 2 * n, 2, dtype=np.float64)           # 2j+1, j = 1..n-1
     # ascending order of the negated breakpoints is the descending sweep;
     # zero weights sit at the end (alpha = 0 is never crossed) and are cut
@@ -147,9 +146,14 @@ def _sweep_scale(w, d, grid):
 def _fit(w, d, grid):
     """Swept scale, then one code half-step and one scale half-step.
 
-    Returns the final code as (alpha, beta).
+    On the 1-bit grid the code is sign(w) (zeros and -0.0 map to +1), so
+    the sweep and the code half-step are skipped.  Returns the final code
+    as (alpha, beta).
     """
-    beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
+    if grid.bitwidth == 1:
+        beta = np.where(w < 0.0, -1.0, 1.0)
+    else:
+        beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
     alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
     return alpha, beta
 
@@ -167,7 +171,7 @@ def project(w, d, grid, m):
     updates from the exact optimum change nothing.
     """
     w, d = _validate_projection_args(w, d, m)
-    if not np.any(w):
+    if not w.any():
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w))
     return ScaledCode(*_fit(w, d, grid))
 

@@ -287,3 +287,49 @@ class TestLinearity:
             combined = sum_grad()
             separate = quad_grad(k1, c1) + quad_grad(k2, c2)
             assert np.allclose(combined, separate, atol=1e-12)
+
+
+class TestToyObjectiveMemo:
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        original = Graph.forward
+
+        def counting(graph, inputs=None):
+            calls.append(graph)
+            return original(graph, inputs)
+
+        monkeypatch.setattr(Graph, "forward", counting)
+        return calls
+
+    def test_grad_after_loss_at_the_same_point_reuses_the_forward_pass(self, forwards):
+        obj = fig1_quadratic()
+        loss = obj.loss_at(np.array([0.3, -0.2]))
+        grad = obj.grad_at(np.array([0.3, -0.2]))
+        assert len(forwards) == 1
+        assert obj.loss_at([0.3, -0.2]) == loss
+        assert len(forwards) == 1
+        fresh = fig1_quadratic()
+        assert np.array_equal(fresh.grad_at([0.3, -0.2]), grad)
+        assert fresh.graph.forward({}) == loss
+
+    def test_another_point_runs_a_fresh_forward_pass(self, forwards):
+        obj = fig1_quadratic()
+        obj.loss_at([0.3, -0.2])
+        grad = obj.grad_at([0.3, 0.2])
+        assert len(forwards) == 2
+        # -0.0 and 0.0 differ in their bytes, so the memo does not match
+        obj.loss_at([0.0, 0.2])
+        obj.grad_at([-0.0, 0.2])
+        assert len(forwards) == 4
+        assert np.array_equal(grad, fig1_quadratic().grad_at([0.3, 0.2]))
+
+    def test_failed_forward_pass_is_not_remembered(self, forwards):
+        obj = fig1_quadratic()
+        good = obj.loss_at([0.3, -0.2])
+        for call in (obj.loss_at, obj.grad_at, obj.loss_at):
+            with pytest.raises(NumericError, match=r"node 3 \(square\)"):
+                call([1e200, -0.2])
+        assert len(forwards) == 4
+        assert obj.loss_at([0.3, -0.2]) == good
+        assert len(forwards) == 5

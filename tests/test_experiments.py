@@ -306,6 +306,25 @@ class TestCliLimits:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_unusable_output_dir_exit_two(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n")
+        code = cli_main(["toy2d", "--steps", "5", "--output-dir", str(plain / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", ["[]", "[1,1]", "[4,2,4]"])
+    def test_empty_or_repeated_sweep_exit_two(self, tmp_path, capsys, sweep):
+        with pytest.raises(ConfigError, match="distinct"):
+            config_from_dict({"experiment": "toy2d", "sweep_bitwidths": json.loads(sweep)})
+        out = tmp_path / "run"
+        code = cli_main(["toy2d", "--sweep-bitwidths", sweep, "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_one_step_mnist_run(self, tmp_path):
         data_dir = make_synthetic_fixture(str(tmp_path / "data"),
                                           n_train=40, n_test=20, seed=2)

@@ -3,10 +3,13 @@
 import gzip
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blaq
 from blaq.errors import FormatError
 from blaq.mnist import (FILE_NAMES, IMAGE_MAGIC, LABEL_MAGIC, dataset_present,
                         load_mnist, make_synthetic_fixture, read_idx_images,
@@ -119,3 +122,12 @@ class TestLoadDataset:
         for name in FILE_NAMES:
             with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+
+def test_import_does_not_load_the_network_stack():
+    # urllib.request pulls in ssl, http and email; only fetch_mnist needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blaq.__file__)))
+    probe = "import sys, blaq.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -149,11 +149,14 @@ class TestBlaqStep:
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
         cfg = BlaqConfig(grid=grid, a=0.6, m=5)
         grad = CountingGrad(obj.grad_at)
+        starts = []
         for t in range(5):
+            starts.append(state.w_hat())
             blaq_step(state, grad, cfg)
         assert grad.calls == 10
         # first evaluation of each step happens at the current quantized point
-        assert np.array_equal(grad.points[0], grad.points[0])
+        for t, w_hat in enumerate(starts):
+            assert np.array_equal(grad.points[2 * t], w_hat)
 
     def test_endpoint_a_one_equals_base_step(self):
         # a = 1: the backtrack reduces to stepping from w with (g, D)

@@ -230,3 +230,39 @@ class TestBreakpointSweep:
         many = project(w, d, QuantGrid(3), m=50)
         assert first.alpha == many.alpha
         assert np.array_equal(first.beta, many.beta)
+
+
+def _one_bit_by_the_sweep_formula(w, d):
+    """The 1-bit code as the sweep path computed it: the code half-step
+    from the scale sum(d|w|)/sum(d), then the scale half-step."""
+    beta = nearest_level(QuantGrid(1), w / (float(np.dot(d, np.abs(w))) / float(d.sum())))
+    return float(np.dot(d, w * beta) / np.dot(d, beta * beta)), beta
+
+
+class TestOneBitDirect:
+    @pytest.mark.parametrize("w", [
+        [0.7], [-0.7], [-0.0, 2.0], [0.0, -3.0, 0.0], [-0.0, -0.0, 1e-3],
+        [0.5, -0.0, 0.0, -0.25, 1.5],
+    ])
+    def test_matches_the_sweep_path_with_zeros(self, w):
+        w = np.array(w)
+        d = np.linspace(0.3, 2.0, len(w))
+        alpha, beta = _one_bit_by_the_sweep_formula(w, d)
+        code = project(w, d, QuantGrid(1), m=5)
+        assert code.alpha == alpha
+        assert code.beta.tobytes() == beta.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 200_704])
+    def test_matches_the_sweep_path_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            w = rng.normal(size=n)
+            w[rng.random(n) < 0.1] = 0.0
+            w[rng.random(n) < 0.1] = -0.0
+            d = rng.uniform(0.05, 5.0, size=n)
+            if not w.any():
+                continue
+            alpha, beta = _one_bit_by_the_sweep_formula(w, d)
+            code = project(w, d, QuantGrid(1), m=5)
+            assert code.alpha == alpha
+            assert code.beta.tobytes() == beta.tobytes()

@@ -43,6 +43,9 @@ RUNS = [
     ("pow32-laq", ["toy-pow32", "--optimizer", "laq"]),
     ("pow32-blaq", ["toy-pow32", "--optimizer", "blaq"]),
     ("pow32-fp", ["toy-pow32", "--optimizer", "full-precision"]),
+    # zero start weights: the 1-bit code of a zero is +1
+    ("toy2d-zero-k1", ["toy2d", "--omega0", "[0,1]"]),
+    ("pow32-zero-laq", ["toy-pow32", "--omega0", "[0,0.3]", "--optimizer", "laq"]),
     ("theory-default", ["theory-check"]),
     ("theory-k2", ["theory-check", "--bitwidth", "2", "--n-instances", "10"]),
     ("mnist-blaq-k1", ["train-mnist", "--optimizer", "blaq", "--bitwidth", "1", *MNIST]),
