@@ -4,9 +4,9 @@ Subcommands: toy2d, toy-pow32, train-mnist, theory-check.  Each accepts
 --config FILE plus any number of --key value overrides (values parsed as
 JSON when possible).  Exit codes: 0 success, 1 a run-level assertion
 failed, 2 configuration or data errors (an unusable output directory
-included), 3 the run diverged (a loss, gradient or iterate became
-non-finite; the message names the graph node and, inside an optimizer
-step, the step number).
+included), 3 the run diverged (a loss, gradient, iterate or projection
+scale became non-finite; the message names the graph node or the scale
+and, inside an optimizer step, the step number).
 """
 
 from __future__ import annotations

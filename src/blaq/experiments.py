@@ -8,18 +8,18 @@ the same config reproduces every output byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 
 from . import mnist as mnist_io
-from .config import ExperimentConfig
 from .curvature import CurvatureState, LrSchedule
 from .errors import CheckFailed, ConfigError
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
-from .models import abs_power_objective, fig1_quadratic
+from .models import TOY2D_CENTER, TOY2D_COEFFS, abs_power_objective, fig1_quadratic
 from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
 from .theory import DiagonalQuadratic, quantized_loss_floor, run_suite
@@ -33,15 +33,11 @@ TOY2D_STEPS = 600
 POW32_STEPS = 1000
 THEORY_STEPS = 300
 
-# Fig-style 2-D quadratic: coefficients and minimizer.
-TOY2D_COEFFS = (5.0, 1.0)
-TOY2D_CENTER = (0.054, -0.055)
-
 # Loss tolerance used for the steps-to-floor metric on the 2-D toy.
 FLOOR_TOL = 1e-4
 
 
-def toy2d_default_schedule(steps):
+def toy2d_default_schedule():
     """Constant rate; 0.1 is large enough to escape wrong-code basins on
     this objective and the adaptive metric still settles the iterates."""
     return LrSchedule.constant(0.1)
@@ -162,7 +158,7 @@ def run_toy2d(cfg):
     if cfg.sweep_bitwidths:
         return _run_toy2d_sweep(cfg)
     steps = cfg.steps or TOY2D_STEPS
-    schedule = cfg.schedule(toy2d_default_schedule(steps))
+    schedule = cfg.schedule(toy2d_default_schedule())
     omega0 = cfg.omega0 or [1.0, 1.0]
     if len(omega0) != 2:
         raise ConfigError(f"toy2d needs a 2-D omega0, got {omega0}")
@@ -195,12 +191,12 @@ def _run_toy2d_sweep(cfg):
     window = cfg.window
     runs = {}
     for k in ks:
-        sub = _clone_cfg(cfg, optimizer="laq", bitwidth=k, sweep_bitwidths=None,
-                         output_dir=os.path.join(_out_dir(cfg), f"laq-k{k}"))
+        sub = dataclasses.replace(cfg, optimizer="laq", bitwidth=k, sweep_bitwidths=None,
+                                  output_dir=os.path.join(_out_dir(cfg), f"laq-k{k}"))
         runs[("laq", k)] = run_toy2d(sub)
     k0 = ks[0]
-    sub = _clone_cfg(cfg, optimizer="blaq", bitwidth=k0, sweep_bitwidths=None,
-                     output_dir=os.path.join(_out_dir(cfg), f"blaq-k{k0}"))
+    sub = dataclasses.replace(cfg, optimizer="blaq", bitwidth=k0, sweep_bitwidths=None,
+                              output_dir=os.path.join(_out_dir(cfg), f"blaq-k{k0}"))
     runs[("blaq", k0)] = run_toy2d(sub)
 
     def total_flips(res):
@@ -239,12 +235,6 @@ def _run_toy2d_sweep(cfg):
     return {"report": report, "runs": runs, "out_dir": out}
 
 
-def _clone_cfg(cfg, **changes):
-    data = cfg.echo()
-    data.update(changes)
-    return ExperimentConfig(**data)
-
-
 def run_toy_pow32(cfg):
     steps = cfg.steps or POW32_STEPS
     schedule = cfg.schedule(pow32_default_schedule())
@@ -278,12 +268,7 @@ def run_train_mnist(cfg, dataset=None):
 
     steps_per_epoch = int(np.ceil(len(dataset.train_images) / cfg.batch_size))
     schedule = cfg.schedule(mnist_default_schedule(steps_per_epoch))
-    result = train_classifier(
-        dataset,
-        optimizer=cfg.optimizer, bitwidth=cfg.bitwidth, a=cfg.a, m=cfg.m,
-        schedule=schedule, beta2=cfg.beta2, eps=cfg.eps, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, seed=cfg.seed, hidden=tuple(cfg.hidden),
-        track_coords=cfg.track_coords)
+    result = train_classifier(dataset, cfg, schedule)
 
     total_steps = len(result.trajectory)
     quarter = min(max(total_steps // 4, 2), total_steps)
@@ -310,9 +295,7 @@ def run_train_mnist(cfg, dataset=None):
 
 def run_theory_check(cfg):
     steps = cfg.steps or THEORY_STEPS
-    report = run_suite(n_instances=cfg.n_instances, dim=cfg.theory_dim,
-                       seed=cfg.seed, steps=steps, bitwidth=cfg.bitwidth,
-                       m=cfg.m, beta2=cfg.beta2, eps=cfg.eps)
+    report = run_suite(cfg, steps)
     target = int(np.ceil(0.9 * report["n_ran"])) if report["n_ran"] else 0
     report["checks"] = {
         "ordering_target": target,

@@ -55,9 +55,14 @@ def weighted_quadratic(coeffs, centers, w0=None):
     return ToyObjective(g, "w", n)
 
 
+# The 2-D toy quadratic: coefficients and minimizer.
+TOY2D_COEFFS = (5.0, 1.0)
+TOY2D_CENTER = (0.054, -0.055)
+
+
 def fig1_quadratic(w0=(1.0, 1.0)):
     """The 2-D anisotropic quadratic used for trajectory pictures."""
-    return weighted_quadratic([5.0, 1.0], [0.054, -0.055], w0)
+    return weighted_quadratic(TOY2D_COEFFS, TOY2D_CENTER, w0)
 
 
 def abs_power_objective(c=1.0, exponent=1.5, w0=(0.5,)):

@@ -10,9 +10,12 @@ changes finds the best code, at O(n 2^(k-1) log(n 2^(k-1))) cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericError
 
 # Scale assigned when the input vector is exactly zero; keeps w_hat ~ 0
 # while preserving alpha > 0.
@@ -155,6 +158,8 @@ def _fit(w, d, grid):
     else:
         beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
     alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
+    if not math.isfinite(alpha):
+        raise NumericError(f"projection scale is not finite: {alpha}")
     return alpha, beta
 
 
@@ -168,7 +173,8 @@ def project(w, d, grid, m):
     On the 1-bit grid there are no breakpoints and this is the closed
     form beta = sign(w), alpha = sum(d*|w|)/sum(d).  The iteration count
     `m` is validated (m >= 1) but unused: alternating code and scale
-    updates from the exact optimum change nothing.
+    updates from the exact optimum change nothing.  A scale that is not
+    finite (a NaN or infinite w, or an overflowing sum) is a NumericError.
     """
     w, d = _validate_projection_args(w, d, m)
     if not w.any():

@@ -15,12 +15,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import CurvatureState, LrSchedule
+from .errors import ConfigError
 from .optimizers import BlaqConfig, LayerQuantState, step
 from .quantizer import QuantGrid, project
 
 # Relative slack for the trajectory bound check; float noise only, the
 # inequality itself is asserted as stated.
 BOUND_REL_SLACK = 1e-9
+
+# Largest fp-iterate trace, (steps + 1) x dim floats, one suite run keeps.
+MAX_TRACE_FLOATS = 2 ** 24
 
 
 @dataclass
@@ -31,7 +35,6 @@ class TheoryParams:
     mu: float
     eta: float
     delta: float
-    a: float = 0.6
 
     def __post_init__(self):
         if self.L1 <= 0 or self.mu <= 0 or self.eta <= 0 or self.delta < 0:
@@ -160,10 +163,6 @@ def count_bound_violations(objective, trace, schedule):
     return violations, checked
 
 
-SUITE_SEED = 5
-SUITE_BETA2 = 0.95
-
-
 def draw_instance(rng, dim=4):
     """One random quadratic plus run hyperparameters.
 
@@ -190,9 +189,8 @@ def draw_instance(rng, dim=4):
     return {"lam": lam, "center": center, "w0": w0, "eta0": eta0, "a": a}
 
 
-def check_instance(lam, center, w0, eta0, a, steps=300, bitwidth=1, m=5,
-                   beta2=SUITE_BETA2, eps=1e-8):
-    """Run one instance; returns a JSON-ready result row.
+def check_instance(lam, center, w0, eta0, a, cfg, steps):
+    """Run one instance under a validated config; returns a JSON-ready row.
 
     If the admissible interval for the given (L1, eta0) is empty the
     instance is reported as skipped rather than failed.
@@ -210,12 +208,12 @@ def check_instance(lam, center, w0, eta0, a, steps=300, bitwidth=1, m=5,
         row["skipped"] = True
         row["reason"] = "empty mixing interval (L1*eta <= 1)"
         return row
-    grid = QuantGrid(bitwidth)
+    grid = QuantGrid(cfg.bitwidth)
     schedule = LrSchedule.constant(eta0)
     blaq_state, blaq_trace = _run_quantized(
-        objective, "blaq", grid, a, m, steps, schedule, beta2, eps, w0)
+        objective, "blaq", grid, a, cfg.m, steps, schedule, cfg.beta2, cfg.eps, w0)
     laq_state, _ = _run_quantized(
-        objective, "laq", grid, a, m, steps, schedule, beta2, eps, w0)
+        objective, "laq", grid, a, cfg.m, steps, schedule, cfg.beta2, cfg.eps, w0)
     violations, checked = count_bound_violations(objective, blaq_trace, schedule)
     row.update({
         "skipped": False,
@@ -228,23 +226,25 @@ def check_instance(lam, center, w0, eta0, a, steps=300, bitwidth=1, m=5,
     return row
 
 
-def run_suite(n_instances=50, dim=4, seed=SUITE_SEED, steps=300, bitwidth=1,
-              m=5, beta2=SUITE_BETA2, eps=1e-8):
-    """Draw and check the full instance suite; returns a JSON-ready report."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(n_instances):
-        inst = draw_instance(rng, dim=dim)
-        rows.append(check_instance(steps=steps, bitwidth=bitwidth, m=m,
-                                   beta2=beta2, eps=eps, **inst))
+def run_suite(cfg, steps):
+    """Draw and check the suite of a validated config, `steps` steps per
+    run; returns a JSON-ready report.  A run's trace may hold at most
+    MAX_TRACE_FLOATS floats, checked before the first draw.
+    """
+    trace_floats = (steps + 1) * cfg.theory_dim
+    if trace_floats > MAX_TRACE_FLOATS:
+        raise ConfigError(f"theory_dim {cfg.theory_dim} over {steps} steps needs a trace of "
+                          f"{trace_floats} floats, above the limit of {MAX_TRACE_FLOATS}")
+    rng = np.random.default_rng(cfg.seed)
+    rows = [check_instance(**draw_instance(rng, dim=cfg.theory_dim), cfg=cfg, steps=steps)
+            for _ in range(cfg.n_instances)]
     ran = [r for r in rows if not r.get("skipped")]
     ordered = sum(1 for r in ran if r["loss_blaq"] <= r["loss_laq"] + 1e-9)
-    report = {
-        "n_instances": n_instances,
+    return {
+        "n_instances": cfg.n_instances,
         "n_ran": len(ran),
         "n_skipped": len(rows) - len(ran),
         "blaq_not_worse": ordered,
         "total_bound_violations": sum(r["bound_violations"] for r in ran),
         "instances": rows,
     }
-    return report

@@ -16,10 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import CurvatureState
+from .errors import ConfigError
 from .metrics import TrajectoryRecord, sample_coordinates
 from .models import MlpClassifier
 from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
+
+# Largest weight matrix, fan_in x fan_out, the trainer builds.
+MAX_LAYER_WEIGHTS = 2 ** 24
 
 
 @dataclass
@@ -32,32 +36,33 @@ class TrainResult:
     steps_per_epoch: int = 0
 
 
-def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
-                     schedule=None, beta2=0.999, eps=1e-8, epochs=20,
-                     batch_size=128, seed=0, hidden=(256, 128, 64),
-                     track_coords=8):
-    """Train the relu classifier with the chosen update rule.
+def train_classifier(dataset, cfg, schedule):
+    """Train the relu classifier as a validated config says, under `schedule`.
 
     Returns a TrainResult with per-epoch loss/accuracy, a per-step
     trajectory of the tracked weight coordinates, and the final layer
-    scales.
+    scales.  A weight matrix above MAX_LAYER_WEIGHTS is a ConfigError.
     """
     n_features = dataset.train_images.shape[1]
     n_classes = int(dataset.train_labels.max()) + 1
-    sizes = [n_features, *hidden, n_classes]
-    ss = np.random.SeedSequence(seed)
+    sizes = [n_features, *cfg.hidden, n_classes]
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        if fan_in * fan_out > MAX_LAYER_WEIGHTS:
+            raise ConfigError(f"hidden {cfg.hidden} gives a {fan_in} x {fan_out} weight matrix, "
+                              f"above the limit of {MAX_LAYER_WEIGHTS} weights")
+    ss = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed, track_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
 
     model = MlpClassifier(sizes, seed=init_seed)
-    grid = QuantGrid(bitwidth)
-    cfg = BlaqConfig(grid=grid, a=a, m=m)
-    quantize = optimizer in ("laq", "blaq")
+    grid = QuantGrid(cfg.bitwidth)
+    opt_cfg = BlaqConfig(grid=grid, a=cfg.a, m=cfg.m)
+    quantize = cfg.optimizer in ("laq", "blaq")
 
     def initial_state(name, quantized):
         w0 = model.graph.get_parameter(name).reshape(-1)
-        curvature = CurvatureState(w0.size, schedule, beta2, eps)
+        curvature = CurvatureState(w0.size, schedule, cfg.beta2, cfg.eps)
         if quantized:
-            return LayerQuantState.initialize(w0, grid, curvature, m=m)
+            return LayerQuantState.initialize(w0, grid, curvature, m=cfg.m)
         return FullPrecisionState(w=w0.copy(), curvature=curvature)
 
     weights = [initial_state(name, quantize) for name in model.weight_names]
@@ -66,7 +71,7 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
 
     offsets = np.cumsum([0] + [s.w.size for s in weights])
     track_rng = np.random.default_rng(track_seed)
-    coords = [int(c) for c in sample_coordinates(track_rng, int(offsets[-1]), track_coords)]
+    coords = [int(c) for c in sample_coordinates(track_rng, int(offsets[-1]), cfg.track_coords)]
     tracked = []    # (layer state, index in the layer) per tracked coordinate
     for c in coords:
         li = int(np.searchsorted(offsets, c, side="right")) - 1
@@ -93,11 +98,11 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
     t = 0
     prev_w = tracked_values(False)
 
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
             x, y = dataset.train_images[idx], dataset.train_labels[idx]
             losses = []
 
@@ -106,7 +111,7 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
                 losses.append(loss)
                 return wg + bg
 
-            step(optimizer, states, grad_at, cfg)
+            step(cfg.optimizer, states, grad_at, opt_cfg)
             loss = losses[0]
             epoch_losses.append(loss)
 
@@ -119,5 +124,5 @@ def train_classifier(dataset, optimizer="blaq", bitwidth=1, a=0.6, m=5,
 
     result.final_accuracy = result.epoch_rows[-1][2]
     result.layer_alphas = [float(s.code.alpha) if quantize else None for s in weights]
-    result.steps_per_epoch = int(np.ceil(n / batch_size))
+    result.steps_per_epoch = int(np.ceil(n / cfg.batch_size))
     return result

@@ -306,6 +306,23 @@ class TestCliLimits:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["theory-check", "--theory-dim", "1000000000000"], "theory_dim"),
+        (["theory-check", "--theory-dim", "20000000"], "theory_dim"),
+        (["train-mnist", "--hidden", "[1000000000000]"], "hidden"),
+    ])
+    def test_oversized_config_exit_two(self, tmp_path, capsys, argv, key):
+        # rejected before the suite draws or the model is built
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"),
+                                          n_train=40, n_test=20, seed=2)
+        out = tmp_path / "run"
+        code = cli_main(argv + ["--data-dir", data_dir, "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {key} ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unusable_output_dir_exit_two(self, tmp_path, capsys):
         plain = tmp_path / "plain"
         plain.write_text("not a directory\n")

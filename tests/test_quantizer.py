@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blaq.errors import NumericError
 from blaq.quantizer import (QuantGrid, ScaledCode, exhaustive_project,
                             nearest_level, project, weighted_objective,
                             ZERO_VECTOR_ALPHA)
@@ -171,6 +172,15 @@ class TestProject:
             project(w, np.ones(3), QuantGrid(1), m=5)
         with pytest.raises(ValueError):
             project(w, np.ones(2), QuantGrid(1), m=0)
+
+    @pytest.mark.parametrize("k, w", [
+        (1, [np.inf, 1.0]), (1, [1e308, 1e308]), (1, [np.nan, 1.0]),
+        (2, [np.inf, 1.0]), (2, [1e308, 1e308]), (2, [np.nan, 1.0]),
+    ])
+    def test_non_finite_scale_raises(self, k, w):
+        # an infinity, a NaN or an overflowing sum(d*|w|) leaves no finite scale
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+            project(np.array(w), np.ones(2), QuantGrid(k), m=1)
 
 
 class TestBreakpointSweep:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blaq.config import config_from_dict
 from blaq.curvature import LrSchedule
 from blaq.quantizer import QuantGrid, exhaustive_project
 from blaq.theory import (DiagonalQuadratic, TheoryParams, check_instance,
@@ -136,23 +137,28 @@ class TestCompareConvergence:
         assert abs(loss_blaq - loss_laq) <= 1e-9
 
 
+def theory_cfg(**keys):
+    return config_from_dict({"experiment": "theory-check", **keys})
+
+
 class TestSuite:
     def test_skipped_when_region_empty(self):
         row = check_instance(lam=np.array([1.0, 2.0]), center=np.array([0.9, -0.9]),
-                             w0=np.array([1.5, -1.5]), eta0=0.1, a=0.5)
+                             w0=np.array([1.5, -1.5]), eta0=0.1, a=0.5,
+                             cfg=theory_cfg(), steps=300)
         assert row["skipped"] is True
         assert "empty" in row["reason"]
 
     def test_instance_row_fields(self):
         rng = np.random.default_rng(3)
-        row = check_instance(steps=80, **draw_instance(rng))
+        row = check_instance(cfg=theory_cfg(), steps=80, **draw_instance(rng))
         for key in ("L1", "mu", "eta", "a", "loss_blaq", "loss_laq",
                     "bound_violations", "bound_checked_steps", "delta_definition"):
             assert key in row
         assert row["a_in_region"]
 
     def test_small_suite_structure(self):
-        report = run_suite(n_instances=6, seed=1, steps=80)
+        report = run_suite(theory_cfg(n_instances=6, seed=1), 80)
         assert report["n_instances"] == 6
         assert report["n_ran"] + report["n_skipped"] == 6
         assert len(report["instances"]) == 6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blaq.config import config_from_dict
 from blaq.curvature import CurvatureState, LrSchedule
 from blaq.mnist import load_mnist, make_synthetic_fixture
 from blaq.models import MlpClassifier
@@ -33,9 +34,10 @@ def recording_eval_batch(monkeypatch):
 
 
 def train(dataset, optimizer, epochs=1):
-    return train_classifier(dataset, optimizer=optimizer, bitwidth=1,
-                            schedule=SCHEDULE, epochs=epochs, batch_size=20,
-                            hidden=(6,), track_coords=3)
+    cfg = config_from_dict({"experiment": "train-mnist", "optimizer": optimizer,
+                            "bitwidth": 1, "epochs": epochs, "batch_size": 20,
+                            "hidden": [6], "track_coords": 3})
+    return train_classifier(dataset, cfg, SCHEDULE)
 
 
 @pytest.mark.parametrize("optimizer, per_step", [

@@ -48,9 +48,17 @@ RUNS = [
     ("pow32-zero-laq", ["toy-pow32", "--omega0", "[0,0.3]", "--optimizer", "laq"]),
     ("theory-default", ["theory-check"]),
     ("theory-k2", ["theory-check", "--bitwidth", "2", "--n-instances", "10"]),
+    # every suite key off its default, so a key read from the wrong place shows
+    ("theory-keys", ["theory-check", "--theory-dim", "6", "--n-instances", "5", "--seed", "3",
+                     "--beta2", "0.9", "--eps", "1e-6", "--steps", "60"]),
     ("mnist-blaq-k1", ["train-mnist", "--optimizer", "blaq", "--bitwidth", "1", *MNIST]),
     ("mnist-laq-k2", ["train-mnist", "--optimizer", "laq", "--bitwidth", "2", *MNIST]),
     ("mnist-fp", ["train-mnist", "--optimizer", "full-precision", *MNIST]),
+    # every trainer key off its default
+    ("mnist-keys", ["train-mnist", "--optimizer", "blaq", "--a", "0.3", "--beta2", "0.99",
+                    "--eps", "1e-6", "--hidden", "[32,16]", "--track-coords", "5",
+                    "--batch-size", "64", "--seed", "3", "--epochs", "2",
+                    "--data-dir", "{data}"]),
 ]
 
 
