@@ -9,20 +9,18 @@ from .autodiff import Graph
 from .curvature import CurvatureState, LrSchedule
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
-from .optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
-                         blaq_step, full_precision_step, laq_step)
+from .optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
+                         full_precision_step, laq_step)
 from .quantizer import QuantGrid, ScaledCode, nearest_level, project
-from .theory import (DiagonalQuadratic, TheoryParams, compare_convergence,
-                     theorem1_bound, theorem2_region)
+from .theory import DiagonalQuadratic, TheoryParams, theorem1_bound, theorem2_region
 
 __all__ = [
     "Graph", "CurvatureState", "LrSchedule", "TrajectoryRecord",
     "direction_change_count", "flip_count", "oscillation_amplitude",
-    "steps_to_tolerance", "BlaqConfig", "FullPrecisionState",
-    "LayerQuantState", "blaq_step", "full_precision_step", "laq_step",
-    "QuantGrid", "ScaledCode", "nearest_level", "project",
-    "DiagonalQuadratic", "TheoryParams", "compare_convergence",
-    "theorem1_bound", "theorem2_region",
+    "steps_to_tolerance", "FullPrecisionState", "LayerQuantState",
+    "blaq_step", "full_precision_step", "laq_step", "QuantGrid",
+    "ScaledCode", "nearest_level", "project", "DiagonalQuadratic",
+    "TheoryParams", "theorem1_bound", "theorem2_region",
 ]
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ class ExperimentConfig:
     optimizer: str = "blaq"
     bitwidth: int = 1
     a: float = 0.6
-    m: int = 5
     eta_schedule: list | None = None
     beta2: float | None = None
     eps: float = 1e-8
@@ -78,8 +77,6 @@ class ExperimentConfig:
                 f"bitwidth must be an integer in 1..{MAX_BITWIDTH}, got {self.bitwidth!r}")
         if not 0.0 <= self.a <= 1.0:
             raise ConfigError(f"a must lie in [0, 1], got {self.a}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
         if self.eps <= 0.0:
@@ -137,7 +134,7 @@ class ExperimentConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _FLOAT_KEYS = {"a", "beta2", "eps", "c"}
-_INT_KEYS = {"bitwidth", "m", "seed", "steps", "epochs", "batch_size",
+_INT_KEYS = {"bitwidth", "seed", "steps", "epochs", "batch_size",
              "window", "track_coords", "n_instances", "theory_dim"}
 
 
@@ -169,7 +166,11 @@ def config_from_dict(data):
 
 
 def load_config(path=None, overrides=None, experiment=None):
-    """Merge config file, CLI overrides, and the subcommand's experiment."""
+    """Merge config file, CLI overrides, and the subcommand's experiment.
+
+    Overrides win over the file; an experiment named by either that is
+    not the subcommand's is a ConfigError.
+    """
     data = {}
     if path:
         try:
@@ -179,16 +180,19 @@ def load_config(path=None, overrides=None, experiment=None):
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    if experiment is not None:
-        if data.get("experiment", experiment) != experiment:
-            raise ConfigError(
-                f"config file says experiment={data['experiment']!r} but the "
-                f"{experiment!r} subcommand was invoked")
-        data["experiment"] = experiment
+    parsed = {}
     for key, raw in (overrides or {}).items():
         key = key.replace("-", "_")
         try:
-            data[key] = json.loads(raw)
+            parsed[key] = json.loads(raw)
         except json.JSONDecodeError:
-            data[key] = raw
+            parsed[key] = raw
+    if experiment is not None:
+        for source, values in (("config file", data), ("override", parsed)):
+            if values.get("experiment", experiment) != experiment:
+                raise ConfigError(
+                    f"{source} says experiment={values['experiment']!r} but the "
+                    f"{experiment!r} subcommand was invoked")
+        parsed["experiment"] = experiment
+    data.update(parsed)
     return config_from_dict(data)

@@ -40,17 +40,6 @@ class LrSchedule:
     def constant(cls, eta):
         return cls([(0, eta)])
 
-    @classmethod
-    def decayed(cls, eta0, hold, factor, every, total):
-        """Constant until `hold`, then scaled by `factor` every `every` steps."""
-        entries = [(0, eta0)]
-        step, eta = hold, eta0
-        while step < total:
-            eta *= factor
-            entries.append((step, eta))
-            step += every
-        return cls(entries)
-
     def at(self, step):
         eta = self.entries[0][1]
         for s, v in self.entries:

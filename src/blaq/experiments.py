@@ -20,7 +20,7 @@ from .errors import CheckFailed, ConfigError
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
 from .models import TOY2D_CENTER, TOY2D_COEFFS, abs_power_objective, fig1_quadratic
-from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
+from .optimizers import FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
 from .theory import DiagonalQuadratic, quantized_loss_floor, run_suite
 from .training import train_classifier
@@ -109,13 +109,11 @@ def _out_dir(cfg):
 def run_toy_objective(objective, cfg, schedule, steps):
     """Drive one optimizer on a toy objective, recording every step."""
     w0 = np.asarray(objective.graph.get_parameter(objective.param_name)).reshape(-1)
-    grid = QuantGrid(cfg.bitwidth)
-    opt_cfg = BlaqConfig(grid=grid, a=cfg.a, m=cfg.m)
     curv = CurvatureState(len(w0), schedule, cfg.beta2, cfg.eps)
     if cfg.optimizer == "full-precision":
         state = FullPrecisionState(w=w0.copy(), curvature=curv)
     else:
-        state = LayerQuantState.initialize(w0, grid, curv, m=cfg.m)
+        state = LayerQuantState.initialize(w0, QuantGrid(cfg.bitwidth), curv)
 
     record = TrajectoryRecord()
 
@@ -128,7 +126,7 @@ def run_toy_objective(objective, cfg, schedule, steps):
 
     prev = snapshot(0, w0)
     for t in range(1, steps + 1):
-        step(cfg.optimizer, state, objective.grad_at, opt_cfg)
+        step(cfg.optimizer, state, objective.grad_at, cfg.a)
         prev = snapshot(t, prev)
     return state, record
 

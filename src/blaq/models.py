@@ -18,10 +18,9 @@ class ToyObjective:
     is driven only through these two methods.
     """
 
-    def __init__(self, graph, param_name, dim):
+    def __init__(self, graph, param_name):
         self.graph = graph
         self.param_name = param_name
-        self.dim = dim
         self._shape = graph.get_parameter(param_name).shape
         self._last = None           # (point bytes, loss) of the last forward pass
 
@@ -52,7 +51,7 @@ def weighted_quadratic(coeffs, centers, w0=None):
     sq = g.square(shifted)
     weighted = g.matmul(sq, g.constant(coeffs.reshape(n, 1)))
     g.mark_loss(g.reduce_sum(weighted))
-    return ToyObjective(g, "w", n)
+    return ToyObjective(g, "w")
 
 
 # The 2-D toy quadratic: coefficients and minimizer.
@@ -76,7 +75,7 @@ def abs_power_objective(c=1.0, exponent=1.5, w0=(0.5,)):
     w = g.parameter("w", w0)
     powered = g.power(g.abs(w), exponent)
     g.mark_loss(g.reduce_sum(g.scale(powered, c)))
-    return ToyObjective(g, "w", len(w0))
+    return ToyObjective(g, "w")
 
 
 class MlpClassifier:
@@ -88,7 +87,6 @@ class MlpClassifier:
     """
 
     def __init__(self, layer_sizes, seed=0):
-        self.layer_sizes = list(layer_sizes)
         rng = np.random.default_rng(seed)
         g = Graph()
         x = g.placeholder("x", (None, layer_sizes[0]))

@@ -3,19 +3,22 @@
 Every step acts on a list of layer states that share one joint gradient
 callback, `grad_at(points) -> grads`, with one flat vector per layer in
 each list; a bare state with a single-vector `grad_at` is the one-layer
-case.  A `LayerQuantState` projects onto its scaled grid, and a
-`FullPrecisionState` is a layer with the identity projection, so the
-weights and the biases of a network take the same step.
+case.  A `LayerQuantState` carries its level grid, fixed when it is
+initialized, and projects onto that grid scaled; a `FullPrecisionState`
+is a layer with the identity projection, so the weights and the biases
+of a network take the same step.
 
-* `laq_step` — proximal step taken from the quantized point, then a
-  weighted projection back onto the scaled grid; one gradient evaluation.
-* `blaq_step` — a trial step from the full-precision point followed by a
-  backtracked update using the convex combination of the current and
-  trial gradients (and metrics); exactly two gradient evaluations for
-  all layers.
-* `full_precision_step` — the same proximal step, for layers that all
-  have the identity projection.
-* `step` — one step of the rule named by the optimizer config key.
+* `laq_step(states, grad_at)` — proximal step taken from the quantized
+  point, then a weighted projection back onto the scaled grid; one
+  gradient evaluation.
+* `blaq_step(states, grad_at, a)` — a trial step from the full-precision
+  point followed by a backtracked update using the convex combination,
+  with weight a in [0, 1], of the current and trial gradients (and
+  metrics); exactly two gradient evaluations for all layers.
+* `full_precision_step(states, grad_at)` — the same proximal step, for
+  layers that all have the identity projection.
+* `step(kind, states, grad_at, a)` — one step of the rule named by the
+  optimizer config key.
 
 The asymmetry of base points (quantized for LAQ, full-precision for the
 backtracking variant) is deliberate and load-bearing.
@@ -33,37 +36,22 @@ from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
 @dataclass
-class BlaqConfig:
-    """Mixing coefficient, projection iteration count, and the level grid.
-
-    `m` is kept for config compatibility; the exact projection ignores it.
-    """
-
-    grid: QuantGrid
-    a: float = 0.6
-    m: int = 5
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"mixing coefficient a must lie in [0, 1], got {self.a}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-
-
-@dataclass
 class LayerQuantState:
-    """Full-precision weights, their scaled code, and curvature statistics."""
+    """Full-precision weights, their scaled code on the layer's grid, and
+    curvature statistics."""
 
     w: np.ndarray
     code: ScaledCode
     curvature: CurvatureState
+    grid: QuantGrid
     g_hat: np.ndarray | None = None
     d_hat: np.ndarray | None = None
     step_count: int = 0
 
     @classmethod
-    def initialize(cls, w0, grid, curvature, m=5):
-        """Project the initial weights with unit metric (no statistics yet).
+    def initialize(cls, w0, grid, curvature):
+        """Project the initial weights onto `grid` with unit metric (no
+        statistics yet); the layer keeps that grid for every later step.
 
         Rejects a layer whose projection sweep would cross more than
         `quantizer.MAX_SWEEP_BREAKPOINTS` breakpoints.
@@ -74,19 +62,19 @@ class LayerQuantState:
             raise ConfigError(
                 f"a {w0.size}-weight layer at {grid.bitwidth} bits needs {breakpoints} "
                 f"projection breakpoints, above the limit of {MAX_SWEEP_BREAKPOINTS}")
-        code = project(w0, np.ones_like(w0), grid, m)
-        return cls(w=w0, code=code, curvature=curvature)
+        code = project(w0, np.ones_like(w0), grid)
+        return cls(w=w0, code=code, curvature=curvature, grid=grid)
 
     def w_hat(self):
         return self.code.w_hat()
 
-    def fit(self, w, d, cfg):
+    def fit(self, w, d):
         """The scaled code of weights w under metric d."""
-        return project(w, d, cfg.grid, cfg.m)
+        return project(w, d, self.grid)
 
-    def place(self, w, d, cfg):
+    def place(self, w, d):
         """Take full-precision weights w and their code under metric d."""
-        self.code = project(w, d, cfg.grid, cfg.m)
+        self.code = project(w, d, self.grid)
         self.w = w
 
 
@@ -103,11 +91,11 @@ class FullPrecisionState:
     def w_hat(self):
         return self.w
 
-    def fit(self, w, d, cfg):
+    def fit(self, w, d):
         """Identity projection: there is no code."""
         return None
 
-    def place(self, w, d, cfg):
+    def place(self, w, d):
         self.w = w
 
 
@@ -120,7 +108,7 @@ def _as_layers(states, grad_at=None):
     return [states], lambda points: [grad_at(points[0])]
 
 
-def _proximal_step(states, grad_at, cfg):
+def _proximal_step(states, grad_at):
     """Gradient at every layer's quantized point, proximal move from that
     point, reprojection under the fresh metric."""
     layers, grad_at = _as_layers(states, grad_at)
@@ -129,18 +117,18 @@ def _proximal_step(states, grad_at, cfg):
         g = np.asarray(g, dtype=np.float64)
         d = s.curvature.update(g)
         s.g_hat, s.d_hat = g, d
-        s.place(w_hat - g / d, d, cfg)
+        s.place(w_hat - g / d, d)
         s.step_count += 1
     return states
 
 
-def laq_step(states, grad_at, cfg):
+def laq_step(states, grad_at):
     """One loss-aware step: gradient at the quantized point, proximal
     move from that point, reprojection under the fresh metric."""
-    return _proximal_step(states, grad_at, cfg)
+    return _proximal_step(states, grad_at)
 
 
-def blaq_step(states, grad_at, cfg):
+def blaq_step(states, grad_at, a):
     """One backtracking step: refresh, forward search, backtrack.
 
     Exactly two joint gradient evaluations.  The first, at the current
@@ -148,34 +136,37 @@ def blaq_step(states, grad_at, cfg):
     is at the trial points: the codes of w - g_hat/d_hat, taken from the
     full-precision w.  The trial metric advances a copy of the curvature,
     so the real statistics are untouched.  Each layer then steps from w
-    with the mixtures a*g_hat + (1-a)*g* and a*d_hat + (1-a)*d*.
+    with the mixtures a*g_hat + (1-a)*g* and a*d_hat + (1-a)*d*, for a
+    mixing coefficient a in [0, 1].
     """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"mixing coefficient a must lie in [0, 1], got {a}")
     layers, grad_at = _as_layers(states, grad_at)
     trial_points = []
     for s, g in zip(layers, grad_at([s.w_hat() for s in layers])):
         s.g_hat = np.asarray(g, dtype=np.float64)
         s.d_hat = s.curvature.update(s.g_hat)
         w_star = s.w - s.g_hat / s.d_hat
-        code_star = s.fit(w_star, s.d_hat, cfg)
+        code_star = s.fit(w_star, s.d_hat)
         trial_points.append(w_star if code_star is None else code_star.w_hat())
-    a = cfg.a
     for s, g_star in zip(layers, grad_at(trial_points)):
         g_star = np.asarray(g_star, dtype=np.float64)
         d_star = s.curvature.copy().update(g_star)
         s.g_hat = a * s.g_hat + (1.0 - a) * g_star
         s.d_hat = a * s.d_hat + (1.0 - a) * d_star
-        s.place(s.w - s.g_hat / s.d_hat, s.d_hat, cfg)
+        s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
         s.step_count += 1
     return states
 
 
-def full_precision_step(states, grad_at, cfg=None):
+def full_precision_step(states, grad_at):
     """Adaptive proximal step with the identity projection."""
-    return _proximal_step(states, grad_at, cfg)
+    return _proximal_step(states, grad_at)
 
 
-def step(kind, states, grad_at, cfg):
-    """One step of optimizer `kind` ("laq", "blaq" or "full-precision").
+def step(kind, states, grad_at, a):
+    """One step of optimizer `kind` ("laq", "blaq" or "full-precision");
+    only the backtracking step reads the mixing coefficient `a`.
 
     A NumericError raised inside the step gains the step number.
     """
@@ -183,11 +174,11 @@ def step(kind, states, grad_at, cfg):
     number = layers[0].step_count + 1
     try:
         if kind == "laq":
-            return laq_step(states, grad_at, cfg)
+            return laq_step(states, grad_at)
         if kind == "blaq":
-            return blaq_step(states, grad_at, cfg)
+            return blaq_step(states, grad_at, a)
         if kind == "full-precision":
-            return full_precision_step(states, grad_at, cfg)
+            return full_precision_step(states, grad_at)
     except NumericError as e:
         raise NumericError(f"{e} at step {number}") from e
     raise ValueError(f"unknown optimizer {kind!r}")

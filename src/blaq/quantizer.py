@@ -90,15 +90,13 @@ def weighted_objective(w, d, alpha, beta):
     return 0.5 * float(np.dot(d, r * r))
 
 
-def _validate_projection_args(w, d, m):
+def _validate_projection_args(w, d):
     w = np.asarray(w, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     if w.shape != d.shape or w.ndim != 1:
         raise ValueError(f"w and d must be equal-length vectors, got {w.shape} and {d.shape}")
     if not (d > 0.0).all():
         raise ValueError("all weights d must be strictly positive")
-    if m < 1:
-        raise ValueError(f"iteration count m must be >= 1, got {m}")
     return w, d
 
 
@@ -163,7 +161,7 @@ def _fit(w, d, grid):
     return alpha, beta
 
 
-def project(w, d, grid, m):
+def project(w, d, grid):
     """Fit (alpha, beta) minimizing the d-weighted squared error to w.
 
     Exact: the breakpoint sweep finds the scale of the globally best
@@ -171,12 +169,10 @@ def project(w, d, grid, m):
     then one code half-step (per-entry nearest level of w/alpha) and one
     scale half-step (alpha = sum(d*w*beta) / sum(d*beta^2)) finish it.
     On the 1-bit grid there are no breakpoints and this is the closed
-    form beta = sign(w), alpha = sum(d*|w|)/sum(d).  The iteration count
-    `m` is validated (m >= 1) but unused: alternating code and scale
-    updates from the exact optimum change nothing.  A scale that is not
+    form beta = sign(w), alpha = sum(d*|w|)/sum(d).  A scale that is not
     finite (a NaN or infinite w, or an overflowing sum) is a NumericError.
     """
-    w, d = _validate_projection_args(w, d, m)
+    w, d = _validate_projection_args(w, d)
     if not w.any():
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w))
     return ScaledCode(*_fit(w, d, grid))

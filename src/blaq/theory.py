@@ -16,7 +16,7 @@ import numpy as np
 
 from .curvature import CurvatureState, LrSchedule
 from .errors import ConfigError
-from .optimizers import BlaqConfig, LayerQuantState, step
+from .optimizers import LayerQuantState, step
 from .quantizer import QuantGrid, project
 
 # Relative slack for the trajectory bound check; float noise only, the
@@ -87,10 +87,6 @@ class DiagonalQuadratic:
     def mu(self):
         return float(self.lam.min())
 
-    @property
-    def dim(self):
-        return len(self.lam)
-
     def loss(self, w):
         r = np.asarray(w) - self.center
         return 0.5 * float(np.dot(self.lam, r * r))
@@ -106,37 +102,21 @@ def quantized_loss_floor(objective, grid):
     exact projection of the center under weights lam is the optimum.
     Returns (loss, alpha, beta) at the optimum.
     """
-    code = project(objective.center, objective.lam, grid, 1)
+    code = project(objective.center, objective.lam, grid)
     return objective.loss(code.w_hat()), code.alpha, code.beta
 
 
-def _run_quantized(objective, kind, grid, a, m, steps, schedule, beta2, eps, w0):
-    """Run one optimizer; returns (final state, fp-iterate trace)."""
+def _run_quantized(objective, kind, a, schedule, w0, cfg, steps):
+    """Run one optimizer under the bitwidth, beta2 and eps of a validated
+    config; returns (final state, fp-iterate trace)."""
     w0 = np.asarray(w0, dtype=np.float64)
-    curv = CurvatureState(len(w0), schedule, beta2=beta2, eps=eps)
-    state = LayerQuantState.initialize(w0, grid, curv, m=m)
-    cfg = BlaqConfig(grid=grid, a=a, m=m)
+    curv = CurvatureState(len(w0), schedule, beta2=cfg.beta2, eps=cfg.eps)
+    state = LayerQuantState.initialize(w0, QuantGrid(cfg.bitwidth), curv)
     trace = [state.w.copy()]
     for _ in range(steps):
-        step(kind, state, objective.grad, cfg)
+        step(kind, state, objective.grad, a)
         trace.append(state.w.copy())
     return state, np.array(trace)
-
-
-def compare_convergence(objective, grid, a, steps, schedule=None, m=5,
-                        beta2=0.99, eps=1e-8, w0=None):
-    """Run both optimizers from identical initialization and schedule.
-
-    Returns the loss of each final quantized iterate as
-    (loss_blaq, loss_laq).
-    """
-    if schedule is None:
-        schedule = LrSchedule.constant(1.2 / objective.L1)
-    if w0 is None:
-        w0 = objective.center + 1.0
-    blaq_state, _ = _run_quantized(objective, "blaq", grid, a, m, steps, schedule, beta2, eps, w0)
-    laq_state, _ = _run_quantized(objective, "laq", grid, a, m, steps, schedule, beta2, eps, w0)
-    return objective.loss(blaq_state.w_hat()), objective.loss(laq_state.w_hat())
 
 
 def count_bound_violations(objective, trace, schedule):
@@ -208,12 +188,9 @@ def check_instance(lam, center, w0, eta0, a, cfg, steps):
         row["skipped"] = True
         row["reason"] = "empty mixing interval (L1*eta <= 1)"
         return row
-    grid = QuantGrid(cfg.bitwidth)
     schedule = LrSchedule.constant(eta0)
-    blaq_state, blaq_trace = _run_quantized(
-        objective, "blaq", grid, a, cfg.m, steps, schedule, cfg.beta2, cfg.eps, w0)
-    laq_state, _ = _run_quantized(
-        objective, "laq", grid, a, cfg.m, steps, schedule, cfg.beta2, cfg.eps, w0)
+    blaq_state, blaq_trace = _run_quantized(objective, "blaq", a, schedule, w0, cfg, steps)
+    laq_state, _ = _run_quantized(objective, "laq", a, schedule, w0, cfg, steps)
     violations, checked = count_bound_violations(objective, blaq_trace, schedule)
     row.update({
         "skipped": False,

@@ -19,7 +19,7 @@ from .curvature import CurvatureState
 from .errors import ConfigError
 from .metrics import TrajectoryRecord, sample_coordinates
 from .models import MlpClassifier
-from .optimizers import BlaqConfig, FullPrecisionState, LayerQuantState, step
+from .optimizers import FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
 
 # Largest weight matrix, fan_in x fan_out, the trainer builds.
@@ -55,14 +55,13 @@ def train_classifier(dataset, cfg, schedule):
 
     model = MlpClassifier(sizes, seed=init_seed)
     grid = QuantGrid(cfg.bitwidth)
-    opt_cfg = BlaqConfig(grid=grid, a=cfg.a, m=cfg.m)
     quantize = cfg.optimizer in ("laq", "blaq")
 
     def initial_state(name, quantized):
         w0 = model.graph.get_parameter(name).reshape(-1)
         curvature = CurvatureState(w0.size, schedule, cfg.beta2, cfg.eps)
         if quantized:
-            return LayerQuantState.initialize(w0, grid, curvature, m=cfg.m)
+            return LayerQuantState.initialize(w0, grid, curvature)
         return FullPrecisionState(w=w0.copy(), curvature=curvature)
 
     weights = [initial_state(name, quantize) for name in model.weight_names]
@@ -111,7 +110,7 @@ def train_classifier(dataset, cfg, schedule):
                 losses.append(loss)
                 return wg + bg
 
-            step(cfg.optimizer, states, grad_at, opt_cfg)
+            step(cfg.optimizer, states, grad_at, cfg.a)
             loss = losses[0]
             epoch_losses.append(loss)
 

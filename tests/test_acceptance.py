@@ -17,7 +17,7 @@ from blaq.curvature import CurvatureState, LrSchedule
 from blaq.experiments import (run_theory_check, run_toy2d, run_train_mnist,
                               toy2d_quantized_floor_loss)
 from blaq.models import MlpClassifier, abs_power_objective
-from blaq.optimizers import BlaqConfig, LayerQuantState, blaq_step, laq_step
+from blaq.optimizers import LayerQuantState, blaq_step, laq_step
 from blaq.quantizer import (QuantGrid, exhaustive_project, project,
                             weighted_objective)
 from blaq.theory import TheoryParams, theorem1_bound
@@ -104,11 +104,12 @@ def test_criterion_3_pow32_counterexample():
             objective = abs_power_objective(c=1.0, w0=[w0])
             state = LayerQuantState.initialize(
                 np.array([w0]), grid, CurvatureState(1, schedule, beta2=0.999))
-            cfg = BlaqConfig(grid=grid, a=0.6, m=5)
-            step = laq_step if kind == "laq" else blaq_step
             levels = [state.code.beta[0]]
             for _ in range(1000):
-                step(state, objective.grad_at, cfg)
+                if kind == "laq":
+                    laq_step(state, objective.grad_at)
+                else:
+                    blaq_step(state, objective.grad_at, 0.6)
                 levels.append(state.code.beta[0])
             tail = levels[-100:]     # same window semantics as flip_count
             return sum(1 for a, b in zip(tail[:-1], tail[1:]) if a != b)
@@ -126,7 +127,7 @@ def test_criterion_4_quantizer_oracle():
             k = int(rng.integers(1, 3))
             w = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
             d = rng.uniform(0.1, 5.0, size=n)
-            code = project(w, d, QuantGrid(k), m=10)
+            code = project(w, d, QuantGrid(k))
             obj = weighted_objective(w, d, code.alpha, code.beta)
             ref, _, _ = exhaustive_project(w, d, QuantGrid(k))
             assert obj <= ref + 1e-9
@@ -138,7 +139,7 @@ def test_criterion_4_quantizer_oracle():
             if not np.any(w):
                 continue
             d = rng.uniform(0.05, 5.0, size=n)
-            code = project(w, d, grid, m=1)
+            code = project(w, d, grid)
             assert np.array_equal(code.beta, np.where(w >= 0, 1.0, -1.0))
             assert code.alpha == float(np.dot(d, np.abs(w)) / d.sum())
 
@@ -246,7 +247,7 @@ def test_criterion_7_mnist_desk_scale(tmp_path):
         for opt in ("blaq", "laq"):
             cfg = config_from_dict({
                 "experiment": "train-mnist", "optimizer": opt, "bitwidth": 1,
-                "a": 0.6, "m": 5, "epochs": 20, "batch_size": 128, "seed": 0,
+                "a": 0.6, "epochs": 20, "batch_size": 128, "seed": 0,
                 "output_dir": str(tmp_path / opt),
             })
             results[opt] = run_train_mnist(cfg, dataset=dataset)["metrics"]

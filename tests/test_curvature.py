@@ -19,13 +19,6 @@ class TestLrSchedule:
         assert s.at(100) == 0.05
         assert s.at(500) == 0.01
 
-    def test_decayed_builder(self):
-        s = LrSchedule.decayed(0.2, hold=50, factor=0.5, every=25, total=120)
-        assert s.at(49) == 0.2
-        assert s.at(50) == 0.1
-        assert s.at(75) == 0.05
-        assert s.at(100) == 0.025
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LrSchedule([])

@@ -19,7 +19,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = config_from_dict({"experiment": "toy2d"})
         assert cfg.optimizer == "blaq" and cfg.bitwidth == 1
-        assert cfg.a == 0.6 and cfg.m == 5
+        assert cfg.a == 0.6
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -41,6 +41,7 @@ class TestConfig:
         {"c": -1.0},
         {"eta_schedule": [[5, 0.1]]},
         {"sweep_bitwidths": [0, 2]},
+        {"m": 5},
     ])
     def test_bad_values_rejected(self, patch):
         data = {"experiment": "toy2d"}
@@ -62,6 +63,16 @@ class TestConfig:
         path.write_text(json.dumps({"experiment": "toy2d"}))
         with pytest.raises(ConfigError):
             load_config(str(path), {}, experiment="toy-pow32")
+
+    def test_experiment_override_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="override says experiment='toy-pow32'"):
+            load_config(None, {"experiment": "toy-pow32"}, experiment="toy2d")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "toy-pow32"}))
+        with pytest.raises(ConfigError, match="config file says"):
+            load_config(str(path), {"experiment": "toy2d"}, experiment="toy2d")
+        cfg = load_config(None, {"experiment": "toy2d", "steps": "5"}, experiment="toy2d")
+        assert cfg.experiment == "toy2d" and cfg.steps == 5
 
     def test_schedule_resolution(self):
         cfg = config_from_dict({"experiment": "toy2d",
@@ -298,6 +309,7 @@ class TestCliLimits:
         ["train-mnist", "--hidden", "[-3]"],
         ["train-mnist", "--hidden", "5"],
         ["train-mnist", "--hidden", "[2.5]"],
+        ["toy2d", "--m", "5"],
     ])
     def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
@@ -320,6 +332,16 @@ class TestCliLimits:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {key} ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_experiment_override_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["toy2d", "--experiment", "toy-pow32", "--steps", "5",
+                         "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "toy-pow32" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -7,8 +7,8 @@ from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import ConfigError, NumericError
 from blaq.metrics import TrajectoryRecord, flip_count
 from blaq.models import abs_power_objective, fig1_quadratic
-from blaq.optimizers import (BlaqConfig, FullPrecisionState, LayerQuantState,
-                             blaq_step, full_precision_step, laq_step, step)
+from blaq.optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
+                             full_precision_step, laq_step, step)
 from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
@@ -41,11 +41,12 @@ class CountingGrad:
         return self.fn(w)
 
 
-def make_state(w, alpha, beta, curvature):
+def make_state(w, alpha, beta, curvature, grid=QuantGrid(1)):
     return LayerQuantState(
         w=np.asarray(w, dtype=np.float64),
         code=ScaledCode(alpha, np.asarray(beta, dtype=np.float64)),
         curvature=curvature,
+        grid=grid,
     )
 
 
@@ -53,32 +54,28 @@ class TestLaqStep:
     def test_proximal_arithmetic(self):
         # w_hat = [0.4, -0.4], g = [0.1, -0.2], D = [2, 4] -> w = [0.35, -0.35]
         state = make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         grad = CountingGrad(lambda w: np.array([0.1, -0.2]))
-        laq_step(state, grad, cfg)
+        laq_step(state, grad)
         assert np.allclose(state.w, [0.35, -0.35], atol=1e-15)
         assert np.array_equal(grad.points[0], [0.4, -0.4])
 
     def test_base_point_is_quantized(self):
         # full-precision w differs from the code; the step must start at alpha*beta
         state = make_state([0.9, -0.1], 0.5, [1.0, -1.0], FixedCurvature([1.0, 1.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        laq_step(state, CountingGrad(lambda w: np.zeros(2)), cfg)
+        laq_step(state, CountingGrad(lambda w: np.zeros(2)))
         assert np.allclose(state.w, [0.5, -0.5])
 
     def test_zero_gradient_fixed_point(self):
         state = make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([2.0, 2.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
-        laq_step(state, CountingGrad(lambda w: np.zeros(2)), cfg)
+        laq_step(state, CountingGrad(lambda w: np.zeros(2)))
         assert state.code.alpha == 0.4
         assert list(state.code.beta) == [1.0, -1.0]
 
     def test_single_evaluation(self):
         state = make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([1.0, 1.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         grad = CountingGrad(lambda w: np.array([0.1, 0.1]))
         for _ in range(7):
-            laq_step(state, grad, cfg)
+            laq_step(state, grad)
         assert grad.calls == 7
 
 
@@ -90,22 +87,20 @@ class TestBlaqStages:
         # w = [0.35, -0.35] differs from w_hat = [0.5, -0.5]; g = [0.1, -0.2],
         # D = [2, 4] -> the trial point is the code of w* = [0.30, -0.30]
         state = make_state([0.35, -0.35], 0.5, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         grad = CountingGrad(lambda w: np.array([0.1, -0.2]))
-        blaq_step(state, grad, cfg)
+        blaq_step(state, grad, 0.6)
         assert np.array_equal(grad.points[0], [0.5, -0.5])
         w_star = np.array([0.35, -0.35]) - np.array([0.1, -0.2]) / np.array([2.0, 4.0])
         assert np.allclose(w_star, [0.30, -0.30], atol=1e-15)
-        expected = project(w_star, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        expected = project(w_star, np.array([2.0, 4.0]), state.grid)
         assert np.array_equal(grad.points[1], expected.w_hat())
 
     def test_stage1_zero_gradient(self):
         w = np.array([0.35, -0.2])
-        state = make_state(w, 0.5, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        cfg = BlaqConfig(grid=QuantGrid(2), a=0.6, m=5)
+        state = make_state(w, 0.5, [1.0, -1.0], FixedCurvature([2.0, 4.0]), QuantGrid(2))
         grad = CountingGrad(lambda w: np.zeros(2))
-        blaq_step(state, grad, cfg)
-        expected = project(w, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        blaq_step(state, grad, 0.6)
+        expected = project(w, np.array([2.0, 4.0]), QuantGrid(2))
         assert np.array_equal(grad.points[1], expected.w_hat())
 
     def test_stage1_from_origin_moves_along_negative_gradient(self):
@@ -115,9 +110,8 @@ class TestBlaqStages:
         eta = 0.05
         state = FullPrecisionState(w=np.zeros(2),
                                    curvature=FixedCurvature([1.0 / eta, 1.0 / eta]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         grad = CountingGrad(obj.grad_at)
-        blaq_step(state, grad, cfg)
+        blaq_step(state, grad, 0.6)
         g = obj.grad_at([0.0, 0.0])
         assert np.array_equal(grad.points[0], [0.0, 0.0])
         assert np.array_equal(grad.points[1], np.zeros(2) - g / np.array([1.0 / eta] * 2))
@@ -126,18 +120,16 @@ class TestBlaqStages:
     def test_stage1_trial_gradient_at_trial_point(self):
         # a = 0: the step keeps exactly the gradient taken at the trial point
         state = make_state([0.35, -0.35], 0.35, [1.0, -1.0], FixedCurvature([2.0, 4.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.0, m=5)
         grad = CountingGrad(lambda w: np.array([0.1, -0.2]) + np.asarray(w))
-        blaq_step(state, grad, cfg)
+        blaq_step(state, grad, 0.0)
         assert grad.calls == 2
         assert np.array_equal(state.g_hat, np.array([0.1, -0.2]) + grad.points[1])
 
     def test_stage2_mixing_values(self):
         # a = 0.6, g = [1, 0], g* = [0, 1] -> mixed [0.6, 0.4]
         state = make_state([1.0, 1.0], 1e-8, [1.0, 1.0], FixedCurvature([1.0, 1.0]))
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         answers = iter([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        blaq_step(state, CountingGrad(lambda w: next(answers)), cfg)
+        blaq_step(state, CountingGrad(lambda w: next(answers)), 0.6)
         assert np.allclose(state.g_hat, [0.6, 0.4], atol=1e-15)
 
 
@@ -147,12 +139,11 @@ class TestBlaqStep:
         grid = QuantGrid(1)
         state = LayerQuantState.initialize(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
-        cfg = BlaqConfig(grid=grid, a=0.6, m=5)
         grad = CountingGrad(obj.grad_at)
         starts = []
         for t in range(5):
             starts.append(state.w_hat())
-            blaq_step(state, grad, cfg)
+            blaq_step(state, grad, 0.6)
         assert grad.calls == 10
         # first evaluation of each step happens at the current quantized point
         for t, w_hat in enumerate(starts):
@@ -168,8 +159,7 @@ class TestBlaqStep:
                 np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
 
         state = fresh_state()
-        cfg = BlaqConfig(grid=grid, a=1.0, m=5)
-        blaq_step(state, obj.grad_at, cfg)
+        blaq_step(state, obj.grad_at, 1.0)
 
         ref = fresh_state()
         g = obj.grad_at(ref.w_hat())
@@ -182,7 +172,6 @@ class TestBlaqStep:
         grid = QuantGrid(1)
         state = LayerQuantState.initialize(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
-        cfg = BlaqConfig(grid=grid, a=0.0, m=5)
 
         # reproduce by hand
         ref = LayerQuantState.initialize(
@@ -190,12 +179,12 @@ class TestBlaqStep:
         g = obj.grad_at(ref.w_hat())
         d = ref.curvature.update(g)
         w_star = ref.w - g / d
-        code_star = project(w_star, d, grid, 5)
+        code_star = project(w_star, d, grid)
         g_star = obj.grad_at(code_star.w_hat())
         d_star = ref.curvature.copy().update(g_star)
         w_expected = ref.w - g_star / d_star
 
-        blaq_step(state, obj.grad_at, cfg)
+        blaq_step(state, obj.grad_at, 0.0)
         assert np.allclose(state.w, w_expected, atol=1e-15)
         assert np.array_equal(state.g_hat, g_star)
 
@@ -206,9 +195,8 @@ class TestBlaqStep:
         for a in rng.uniform(0, 1, size=10):
             state = LayerQuantState.initialize(
                 rng.normal(size=2), grid, CurvatureState(2, LrSchedule.constant(0.1)))
-            cfg = BlaqConfig(grid=grid, a=float(a), m=5)
             for _ in range(5):
-                blaq_step(state, obj.grad_at, cfg)
+                blaq_step(state, obj.grad_at, float(a))
                 assert np.all(state.d_hat > 0.0)
 
     def test_code_invariants_hold_along_trajectory(self):
@@ -216,9 +204,8 @@ class TestBlaqStep:
         grid = QuantGrid(2)
         state = LayerQuantState.initialize(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.05)))
-        cfg = BlaqConfig(grid=grid, a=0.6, m=5)
         for _ in range(50):
-            blaq_step(state, obj.grad_at, cfg)
+            blaq_step(state, obj.grad_at, 0.6)
             assert state.code.alpha > 0.0
             assert all(b in grid.levels for b in state.code.beta)
 
@@ -228,14 +215,29 @@ class TestBlaqStep:
             grid = QuantGrid(1)
             state = LayerQuantState.initialize(
                 np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
-            cfg = BlaqConfig(grid=grid, a=0.6, m=5)
             traj = []
             for _ in range(40):
-                blaq_step(state, obj.grad_at, cfg)
+                blaq_step(state, obj.grad_at, 0.6)
                 traj.append(state.w.copy())
             return np.array(traj)
 
         assert np.array_equal(run(), run())
+
+    @pytest.mark.parametrize("a", [-0.1, 1.5, float("nan")])
+    def test_mixing_coefficient_outside_unit_interval_rejected(self, a):
+        state = LayerQuantState.initialize(
+            np.array([1.0, 1.0]), QuantGrid(1), CurvatureState(2, LrSchedule.constant(0.1)))
+        grad = CountingGrad(fig1_quadratic().grad_at)
+        with pytest.raises(ValueError, match="mixing coefficient"):
+            blaq_step(state, grad, a)
+        assert grad.calls == 0 and state.step_count == 0
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_mixing_coefficient_endpoints_run(self, a):
+        state = LayerQuantState.initialize(
+            np.array([1.0, 1.0]), QuantGrid(1), CurvatureState(2, LrSchedule.constant(0.1)))
+        blaq_step(state, fig1_quadratic().grad_at, a)
+        assert state.step_count == 1
 
 
 class TestFullPrecision:
@@ -290,14 +292,13 @@ class TestPow32Counterexample:
             obj = abs_power_objective(c=1.0, w0=[0.5])
             state = LayerQuantState.initialize(
                 np.array([0.5]), grid, CurvatureState(1, LrSchedule.constant(0.01)))
-            cfg = BlaqConfig(grid=grid, a=0.6, m=5)
             record = TrajectoryRecord()
             record.append(0, 0.0, state.w, state.code.beta, np.zeros(1))
             for t in range(1, 1001):
                 if kind == "laq":
-                    laq_step(state, obj.grad_at, cfg)
+                    laq_step(state, obj.grad_at)
                 else:
-                    blaq_step(state, obj.grad_at, cfg)
+                    blaq_step(state, obj.grad_at, 0.6)
                 record.append(t, 0.0, state.w, state.code.beta, np.zeros(1))
             return flip_count(record, 0, 100)
 
@@ -323,7 +324,6 @@ class TestLayerLists:
         ("full-precision", (False, False))])
     def test_joint_step_equals_single_steps(self, kind, quantized):
         quad, power = separable_parts()
-        cfg = BlaqConfig(grid=QuantGrid(2), a=0.6, m=5)
         starts = ([1.0, 1.0], [0.5])
         joint = [fresh_layer(kind, w0, q) for w0, q in zip(starts, quantized)]
         alone = [fresh_layer(kind, w0, q) for w0, q in zip(starts, quantized)]
@@ -332,9 +332,9 @@ class TestLayerLists:
             return [quad.grad_at(points[0]), power.grad_at(points[1])]
 
         for _ in range(6):
-            step(kind, joint, joint_grad, cfg)
-            step(kind, alone[0], quad.grad_at, cfg)
-            step(kind, alone[1], power.grad_at, cfg)
+            step(kind, joint, joint_grad, 0.6)
+            step(kind, alone[0], quad.grad_at, 0.6)
+            step(kind, alone[1], power.grad_at, 0.6)
         for j, s in zip(joint, alone):
             assert np.array_equal(j.w, s.w)
             assert np.array_equal(j.g_hat, s.g_hat)
@@ -348,7 +348,6 @@ class TestLayerLists:
         ("laq", 1), ("blaq", 2), ("full-precision", 1)])
     def test_one_joint_evaluation_per_gradient(self, kind, evaluations):
         quad, power = separable_parts()
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         layers = [fresh_layer(kind, [1.0, 1.0], kind != "full-precision"),
                   fresh_layer(kind, [0.5], False)]
         calls = []
@@ -358,12 +357,11 @@ class TestLayerLists:
             return [quad.grad_at(points[0]), power.grad_at(points[1])]
 
         for _ in range(4):
-            step(kind, layers, grad, cfg)
+            step(kind, layers, grad, 0.6)
         assert calls == [2] * (4 * evaluations)
 
     def test_full_precision_trial_point_is_the_forward_step(self):
         # a full-precision layer's trial point is w - g/D, not w
-        cfg = BlaqConfig(grid=QuantGrid(1), a=0.6, m=5)
         layers = [make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([2.0, 4.0])),
                   FullPrecisionState(w=np.array([1.0]), curvature=FixedCurvature([4.0]))]
         seen = []
@@ -372,17 +370,35 @@ class TestLayerLists:
             seen.append([np.array(p) for p in points])
             return [np.array([0.1, -0.2]), np.array([2.0])]
 
-        blaq_step(layers, grad, cfg)
+        blaq_step(layers, grad, 0.6)
         assert np.array_equal(seen[1][1], [0.5])
         w_star = np.array([0.4, -0.4]) - np.array([0.1, -0.2]) / np.array([2.0, 4.0])
-        trial_code = project(w_star, np.array([2.0, 4.0]), cfg.grid, cfg.m)
+        trial_code = project(w_star, np.array([2.0, 4.0]), QuantGrid(1))
         assert np.array_equal(seen[1][0], trial_code.w_hat())
+
+    @pytest.mark.parametrize("kind", ["laq", "blaq"])
+    def test_each_layer_keeps_its_own_grid(self, kind):
+        # a 1-bit and a 3-bit layer in one list, pulled toward [0.4, 0.1]
+        grids = (QuantGrid(1), QuantGrid(3))
+        layers = [LayerQuantState.initialize(np.array([1.0, 1.0]), grid,
+                                             CurvatureState(2, LrSchedule.constant(0.05)))
+                  for grid in grids]
+        center = np.array([0.4, 0.1])
+
+        def grad(points):
+            return [p - center for p in points]
+
+        for _ in range(60):
+            step(kind, layers, grad, 0.6)
+            for s, grid in zip(layers, grids):
+                assert s.grid is grid
+                assert all(b in grid.levels for b in s.code.beta)
+        assert not set(layers[1].code.beta) <= set(grids[0].levels)
 
     def test_unknown_kind_rejected(self):
         state = fresh_layer("laq", [1.0, 1.0], True)
         with pytest.raises(ValueError):
-            step("sgd", state, fig1_quadratic().grad_at,
-                 BlaqConfig(grid=QuantGrid(1)))
+            step("sgd", state, fig1_quadratic().grad_at, 0.6)
 
     def test_divergence_names_the_step(self):
         def grad(w):
@@ -391,7 +407,7 @@ class TestLayerLists:
         state = fresh_layer("blaq", [1.0, 1.0], True)
         state.step_count = 41
         with pytest.raises(NumericError, match=r"node 2 \(power\) at step 42"):
-            step("blaq", state, grad, BlaqConfig(grid=QuantGrid(1)))
+            step("blaq", state, grad, 0.6)
 
     def test_breakpoint_limit_rejects_layer(self):
         grid = QuantGrid(16)

@@ -82,7 +82,7 @@ class TestProject:
         # brute force over the four sign codes gives alpha = 0.4
         w, d = np.array([0.3, -0.5]), np.array([1.0, 1.0])
         obj, alpha_ref, beta_ref = exhaustive_project(w, d, QuantGrid(1))
-        code = project(w, d, QuantGrid(1), m=1)
+        code = project(w, d, QuantGrid(1))
         assert list(code.beta) == [1.0, -1.0]
         assert code.alpha == 0.4
         assert abs(abs(alpha_ref) - 0.4) < 1e-15
@@ -93,14 +93,14 @@ class TestProject:
         alpha, beta = 0.37, np.array([1.0, -0.5, 0.5, -1.0])
         w = alpha * beta
         d = np.array([2.0, 1.0, 0.5, 3.0])
-        code = project(w, d, grid, m=5)
+        code = project(w, d, grid)
         assert np.array_equal(code.beta, beta)
         assert abs(code.alpha - alpha) < 1e-15
         assert weighted_objective(w, d, code.alpha, code.beta) == 0.0
 
     def test_example_k2_matches_exhaustive(self):
         w, d = np.array([1.0, 0.25]), np.array([2.0, 1.0])
-        code = project(w, d, QuantGrid(2), m=5)
+        code = project(w, d, QuantGrid(2))
         obj = weighted_objective(w, d, code.alpha, code.beta)
         ref, _, _ = exhaustive_project(w, d, QuantGrid(2))
         assert obj <= ref + 1e-12
@@ -112,7 +112,7 @@ class TestProject:
             k = int(rng.integers(1, 3))
             w = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
             d = rng.uniform(0.1, 5.0, size=n)
-            code = project(w, d, QuantGrid(k), m=10)
+            code = project(w, d, QuantGrid(k))
             obj = weighted_objective(w, d, code.alpha, code.beta)
             ref, _, _ = exhaustive_project(w, d, QuantGrid(k))
             assert obj <= ref + 1e-9
@@ -124,8 +124,8 @@ class TestProject:
             w = rng.normal(size=4)
             d = rng.uniform(0.1, 2.0, size=4)
             c = float(rng.uniform(0.1, 10.0))
-            base = project(w, d, grid, m=5)
-            scaled = project(c * w, d, grid, m=5)
+            base = project(w, d, grid)
+            scaled = project(c * w, d, grid)
             assert np.array_equal(base.beta, scaled.beta)
             assert np.isclose(scaled.alpha, c * base.alpha, rtol=1e-12)
 
@@ -136,8 +136,8 @@ class TestProject:
             w = rng.normal(size=5)
             d = rng.uniform(0.1, 2.0, size=5)
             perm = rng.permutation(5)
-            base = project(w, d, grid, m=5)
-            permuted = project(w[perm], d[perm], grid, m=5)
+            base = project(w, d, grid)
+            permuted = project(w[perm], d[perm], grid)
             # alpha comes from permuted reductions; equality holds to rounding
             assert np.isclose(permuted.alpha, base.alpha, rtol=1e-12)
             assert np.array_equal(permuted.beta, base.beta[perm])
@@ -151,27 +151,25 @@ class TestProject:
             if not np.any(w):
                 continue
             d = rng.uniform(0.05, 5.0, size=n)
-            code = project(w, d, grid, m=1)
+            code = project(w, d, grid)
             beta_expected = np.where(w >= 0, 1.0, -1.0)
             alpha_expected = float(np.dot(d, np.abs(w)) / d.sum())
             assert np.array_equal(code.beta, beta_expected)
             assert code.alpha == alpha_expected
 
     def test_zero_vector_degenerate(self):
-        code = project(np.zeros(3), np.ones(3), QuantGrid(1), m=5)
+        code = project(np.zeros(3), np.ones(3), QuantGrid(1))
         assert code.alpha == ZERO_VECTOR_ALPHA
         assert list(code.beta) == [1.0, 1.0, 1.0]
 
     def test_domain_errors(self):
         w = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            project(w, np.array([1.0, 0.0]), QuantGrid(1), m=5)
+            project(w, np.array([1.0, 0.0]), QuantGrid(1))
         with pytest.raises(ValueError):
-            project(w, np.array([1.0, -1.0]), QuantGrid(1), m=5)
+            project(w, np.array([1.0, -1.0]), QuantGrid(1))
         with pytest.raises(ValueError):
-            project(w, np.ones(3), QuantGrid(1), m=5)
-        with pytest.raises(ValueError):
-            project(w, np.ones(2), QuantGrid(1), m=0)
+            project(w, np.ones(3), QuantGrid(1))
 
     @pytest.mark.parametrize("k, w", [
         (1, [np.inf, 1.0]), (1, [1e308, 1e308]), (1, [np.nan, 1.0]),
@@ -180,7 +178,7 @@ class TestProject:
     def test_non_finite_scale_raises(self, k, w):
         # an infinity, a NaN or an overflowing sum(d*|w|) leaves no finite scale
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
-            project(np.array(w), np.ones(2), QuantGrid(k), m=1)
+            project(np.array(w), np.ones(2), QuantGrid(k))
 
 
 class TestBreakpointSweep:
@@ -192,7 +190,7 @@ class TestBreakpointSweep:
                 n = int(rng.integers(1, max_n + 1))
                 w = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
                 d = rng.uniform(0.1, 5.0, size=n)
-                code = project(w, d, grid, m=1)
+                code = project(w, d, grid)
                 obj = weighted_objective(w, d, code.alpha, code.beta)
                 ref, _, _ = exhaustive_project(w, d, grid)
                 assert obj <= ref + 1e-12 * max(1.0, ref)
@@ -205,7 +203,7 @@ class TestBreakpointSweep:
             n = int(rng.integers(1, 9))
             w = 0.37 * rng.choice([-1.0, 1.0], size=n)
             d = rng.uniform(0.1, 5.0, size=n)
-            code = project(w, d, QuantGrid(k), m=5)
+            code = project(w, d, QuantGrid(k))
             assert np.max(np.abs(code.beta)) == 1.0
             assert np.array_equal(code.beta, np.sign(w))
 
@@ -217,7 +215,7 @@ class TestBreakpointSweep:
             w = rng.normal(size=n)
             d = rng.uniform(0.05, 5.0, size=n)
             s = np.sign(w)
-            code = project(w, d, grid, m=5)
+            code = project(w, d, grid)
             assert np.array_equal(code.beta, s)
             assert code.alpha == float(np.dot(d, w * s) / np.dot(d, s * s))
 
@@ -227,19 +225,11 @@ class TestBreakpointSweep:
         grid = QuantGrid(k)
         w = rng.normal(size=500) * rng.uniform(0.1, 2.0, size=500)
         d = rng.uniform(0.1, 5.0, size=500)
-        code = project(w, d, grid, m=5)
+        code = project(w, d, grid)
         obj = weighted_objective(w, d, code.alpha, code.beta)
         scan = np.geomspace(1e-3, 3.0 * np.abs(w).max(), 4000)
         best_scan = min(weighted_objective(w, d, a, nearest_level(grid, w / a)) for a in scan)
         assert obj <= best_scan
-
-    def test_m_is_validated_but_inert(self):
-        rng = np.random.default_rng(16)
-        w, d = rng.normal(size=40), rng.uniform(0.1, 2.0, size=40)
-        first = project(w, d, QuantGrid(3), m=1)
-        many = project(w, d, QuantGrid(3), m=50)
-        assert first.alpha == many.alpha
-        assert np.array_equal(first.beta, many.beta)
 
 
 def _one_bit_by_the_sweep_formula(w, d):
@@ -258,7 +248,7 @@ class TestOneBitDirect:
         w = np.array(w)
         d = np.linspace(0.3, 2.0, len(w))
         alpha, beta = _one_bit_by_the_sweep_formula(w, d)
-        code = project(w, d, QuantGrid(1), m=5)
+        code = project(w, d, QuantGrid(1))
         assert code.alpha == alpha
         assert code.beta.tobytes() == beta.tobytes()
 
@@ -273,6 +263,6 @@ class TestOneBitDirect:
             if not w.any():
                 continue
             alpha, beta = _one_bit_by_the_sweep_formula(w, d)
-            code = project(w, d, QuantGrid(1), m=5)
+            code = project(w, d, QuantGrid(1))
             assert code.alpha == alpha
             assert code.beta.tobytes() == beta.tobytes()

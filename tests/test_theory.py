@@ -6,10 +6,10 @@ import pytest
 from blaq.config import config_from_dict
 from blaq.curvature import LrSchedule
 from blaq.quantizer import QuantGrid, exhaustive_project
-from blaq.theory import (DiagonalQuadratic, TheoryParams, check_instance,
-                         compare_convergence, count_bound_violations,
-                         draw_instance, quantized_loss_floor, run_suite,
-                         theorem1_bound, theorem2_region)
+from blaq.theory import (DiagonalQuadratic, TheoryParams, _run_quantized,
+                         check_instance, count_bound_violations, draw_instance,
+                         quantized_loss_floor, run_suite, theorem1_bound,
+                         theorem2_region)
 
 
 class TestBoundFormula:
@@ -107,38 +107,37 @@ class TestQuadraticFamily:
         assert 0.0 <= loss <= quantized_loss_floor(q, QuantGrid(8))[0] + 1e-12
 
 
+def theory_cfg(**keys):
+    return config_from_dict({"experiment": "theory-check", **keys})
+
+
 class TestCompareConvergence:
     def test_2d_quadratic_ordering(self):
         q = DiagonalQuadratic([10.0, 2.0], [0.054, -0.055])
         region = theorem2_region(q.L1, 0.12)
         assert region.contains(0.75)
-        loss_blaq, loss_laq = compare_convergence(
-            q, QuantGrid(1), a=0.75, steps=300,
-            schedule=LrSchedule.constant(0.12), beta2=0.95,
-            w0=np.array([1.0, 1.0]))
-        assert loss_blaq <= loss_laq + 1e-9
+        row = check_instance(q.lam, q.center, w0=np.array([1.0, 1.0]), eta0=0.12, a=0.75,
+                             cfg=theory_cfg(), steps=300)
+        assert row["loss_blaq"] <= row["loss_laq"] + 1e-9
 
     def test_a_one_endpoint_reported_not_asserted(self):
         q = DiagonalQuadratic([10.0, 2.0], [0.054, -0.055])
-        loss_blaq, loss_laq = compare_convergence(
-            q, QuantGrid(1), a=1.0, steps=100,
-            schedule=LrSchedule.constant(0.12), beta2=0.95,
-            w0=np.array([1.0, 1.0]))
-        assert np.isfinite(loss_blaq) and np.isfinite(loss_laq)
+        row = check_instance(q.lam, q.center, w0=np.array([1.0, 1.0]), eta0=0.12, a=1.0,
+                             cfg=theory_cfg(), steps=100)
+        assert np.isfinite(row["loss_blaq"]) and np.isfinite(row["loss_laq"])
 
     def test_isotropic_symmetric_losses_agree(self):
         q = DiagonalQuadratic(np.ones(4), np.zeros(4))
         floor, _, _ = quantized_loss_floor(q, QuantGrid(1))
         assert floor == pytest.approx(0.0, abs=1e-15)
-        schedule = LrSchedule.decayed(0.5, hold=50, factor=0.5, every=10, total=300)
-        loss_blaq, loss_laq = compare_convergence(
-            q, QuantGrid(1), a=0.6, steps=300, schedule=schedule,
-            beta2=0.95, w0=np.full(4, 1.5))
-        assert abs(loss_blaq - loss_laq) <= 1e-9
-
-
-def theory_cfg(**keys):
-    return config_from_dict({"experiment": "theory-check", **keys})
+        # 0.5 until step 50, then halved every 10 steps; L1 * eta <= 1, so
+        # the mixing interval is empty and check_instance would skip it
+        schedule = LrSchedule([(0, 0.5)] + [(50 + 10 * i, 0.5 / 2 ** (i + 1))
+                                            for i in range(25)])
+        losses = [q.loss(_run_quantized(q, kind, 0.6, schedule, np.full(4, 1.5),
+                                        theory_cfg(), 300)[0].w_hat())
+                  for kind in ("blaq", "laq")]
+        assert abs(losses[0] - losses[1]) <= 1e-9
 
 
 class TestSuite:
@@ -177,9 +176,8 @@ class TestSuite:
         inst = draw_instance(rng)
         q = DiagonalQuadratic(inst["lam"], inst["center"])
         schedule = LrSchedule.constant(inst["eta0"])
-        from blaq.theory import _run_quantized
-        _, trace = _run_quantized(q, "blaq", QuantGrid(1), inst["a"], 5, 60,
-                                  schedule, 0.95, 1e-8, inst["w0"])
+        _, trace = _run_quantized(q, "blaq", inst["a"], schedule, inst["w0"],
+                                  theory_cfg(), 60)
         violations, checked = count_bound_violations(q, trace, schedule)
         assert checked > 0
         assert violations == 0

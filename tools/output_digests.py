@@ -40,6 +40,9 @@ RUNS = [
     ("toy2d-laq-k4", ["toy2d", "--optimizer", "laq", "--bitwidth", "4"]),
     ("toy2d-blaq-k3", ["toy2d", "--optimizer", "blaq", "--bitwidth", "3"]),
     ("toy2d-sweep", ["toy2d", *SWEEP]),
+    # the toy path's mixing coefficient and beta2 off their defaults
+    ("toy2d-keys", ["toy2d", "--optimizer", "blaq", "--bitwidth", "2", "--a", "0.3",
+                    "--beta2", "0.99", "--steps", "200"]),
     ("pow32-laq", ["toy-pow32", "--optimizer", "laq"]),
     ("pow32-blaq", ["toy-pow32", "--optimizer", "blaq"]),
     ("pow32-fp", ["toy-pow32", "--optimizer", "full-precision"]),
