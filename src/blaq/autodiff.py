@@ -25,14 +25,15 @@ def _shapes_match(expected, actual):
 class Node:
     """One graph node: an op kind, its input node ids, and cached arrays."""
 
-    __slots__ = ("uid", "kind", "inputs", "shape", "aux", "value", "grad")
+    __slots__ = ("uid", "kind", "inputs", "shape", "aux", "needs_grad", "value", "grad")
 
-    def __init__(self, uid, kind, inputs, shape, aux=None):
+    def __init__(self, uid, kind, inputs, shape, aux=None, needs_grad=False):
         self.uid = uid
         self.kind = kind
         self.inputs = inputs
         self.shape = shape      # static shape; None = open (batch) dim
         self.aux = aux or {}
+        self.needs_grad = needs_grad    # a parameter can be reached from here
         self.value = None
         self.grad = None
 
@@ -45,7 +46,9 @@ class Graph:
 
     Build once (placeholders, parameters, ops), then alternate
     `forward(inputs)` / `backward()`.  Parameters persist across calls
-    and are updated with `set_parameter`.
+    and are updated with `set_parameter`.  The reverse pass forms a
+    partial only toward inputs from which a parameter can be reached, so
+    placeholders and constants never get one.
     """
 
     def __init__(self):
@@ -201,11 +204,11 @@ class Graph:
             if node.kind not in _BACKWARD:
                 raise UnsupportedOpError(f"no adjoint registered for {node.kind!r}")
             args = [self.nodes[i].value for i in node.inputs]
-            partials = _BACKWARD[node.kind](node, node.grad, *args)
-            for uid, part in zip(node.inputs, partials):
-                if part is None:
-                    continue
+            for uid, partial in zip(node.inputs, _BACKWARD[node.kind]):
                 child = self.nodes[uid]
+                if partial is None or not child.needs_grad:
+                    continue
+                part = partial(node, node.grad, *args)
                 child.grad = part if child.grad is None else child.grad + part
         out = {}
         for name, uid in self._params.items():
@@ -227,7 +230,8 @@ class Graph:
         return self.nodes[self._params[name]].value.copy()
 
     def _new(self, kind, input_nodes, shape, aux=None):
-        node = Node(len(self.nodes), kind, [n.uid for n in input_nodes], shape, aux)
+        needs_grad = kind == "parameter" or any(n.needs_grad for n in input_nodes)
+        node = Node(len(self.nodes), kind, [n.uid for n in input_nodes], shape, aux, needs_grad)
         self.nodes.append(node)
         return node
 
@@ -266,7 +270,8 @@ _FORWARD = {
 }
 
 
-# ---- adjoint rules: (node, upstream grad, *input values) -> per-input partials ----
+# ---- adjoint rules: per input, (node, upstream grad, *input values) -> partial ----
+# None marks an input that takes no gradient (the labels).
 
 def _bw_power(node, g, x):
     p = node.aux["p"]
@@ -274,27 +279,27 @@ def _bw_power(node, g, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         d = p * mag ** (p - 1.0)
     d = np.where(mag == 0.0, 0.0, d)
-    return (g * d,)
+    return g * d
 
 
 def _bw_softmax_ce(node, g, logits, labels):
     n, c = logits.shape
     p = _softmax(logits)
     p[np.arange(n), labels.astype(np.int64)] -= 1.0
-    return (g * p / n, None)
+    return g * p / n
 
 
 _BACKWARD = {
-    "matmul": lambda node, g, a, b: (g @ b.T, a.T @ g),
-    "add_bias": lambda node, g, x, b: (g, g.sum(axis=0)),
-    "add": lambda node, g, a, b: (g, g),
-    "relu": lambda node, g, x: (g * (x > 0.0),),
-    "square": lambda node, g, x: (g * 2.0 * x,),
-    "abs": lambda node, g, x: (g * np.sign(x),),
-    "power": _bw_power,
-    "scale": lambda node, g, x: (g * node.aux["c"],),
-    "shift": lambda node, g, x: (g,),
-    "reduce_sum": lambda node, g, x: (g * np.ones_like(x),),
-    "reduce_mean": lambda node, g, x: (g * np.ones_like(x) / x.size,),
-    "softmax_cross_entropy": _bw_softmax_ce,
+    "matmul": (lambda node, g, a, b: g @ b.T, lambda node, g, a, b: a.T @ g),
+    "add_bias": (lambda node, g, x, b: g, lambda node, g, x, b: g.sum(axis=0)),
+    "add": (lambda node, g, a, b: g, lambda node, g, a, b: g),
+    "relu": (lambda node, g, x: g * (x > 0.0),),
+    "square": (lambda node, g, x: g * 2.0 * x,),
+    "abs": (lambda node, g, x: g * np.sign(x),),
+    "power": (_bw_power,),
+    "scale": (lambda node, g, x: g * node.aux["c"],),
+    "shift": (lambda node, g, x: g,),
+    "reduce_sum": (lambda node, g, x: g * np.ones_like(x),),
+    "reduce_mean": (lambda node, g, x: g * np.ones_like(x) / x.size,),
+    "softmax_cross_entropy": (_bw_softmax_ce, None),
 }

@@ -6,13 +6,17 @@ JSON when possible).  Exit codes: 0 success, 1 a run-level assertion
 failed, 2 configuration or data errors (an unusable output directory
 included), 3 the run diverged (a loss, gradient, iterate or projection
 scale became non-finite; the message names the graph node or the scale
-and, inside an optimizer step, the step number).
+and, inside an optimizer step, the step number).  numpy's floating-point
+warnings are silenced: the package's own checks catch every non-finite
+value, so `diverged: ` is the first line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .config import EXPERIMENTS, load_config
 from .errors import CheckFailed, ConfigError, FormatError, NumericError
@@ -52,7 +56,8 @@ def main(argv=None):
     try:
         overrides = _parse_overrides(extra)
         cfg = load_config(args.config, overrides, experiment=args.experiment)
-        result = run(cfg)
+        with np.errstate(all="ignore"):
+            result = run(cfg)
     except (ConfigError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .buffers import IN_PLACE_MIN_SIZE
 from .errors import NumericError
 
 
@@ -70,27 +71,58 @@ class CurvatureState:
     def update(self, g):
         """Advance the moment estimate with g and return the diagonal D.
 
-        v <- beta2*v + (1-beta2)*g*g, then D = (sqrt(v_hat) + eps) / eta_t
-        with v_hat the bias-corrected moment.  Every entry of D is
-        strictly positive.
+        v <- beta2*v + (1-beta2)*g*g (in place on a long vector), then
+        D = (sqrt(v_hat) + eps) / eta_t with v_hat the bias-corrected
+        moment.  Every entry of D is strictly positive, and D is a new
+        array, which the caller may overwrite.
         """
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != self.v.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match state {self.v.shape}")
-        if not np.isfinite(g).all():
-            raise NumericError("gradient contains non-finite entries")
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        self.v = self._advanced(g, out=self.v)
         self.step += 1
         return self.d_hat()
+
+    def peek(self, g):
+        """The diagonal `update(g)` would return, with no state change.
+
+        Bit for bit what `copy().update(g)` returns, without copying v;
+        a new array, like update's.
+        """
+        v = self._advanced(g)
+        return self._diagonal(v, self.step + 1, out=v)
 
     def d_hat(self):
         """Diagonal for the current statistics (no state change)."""
         if self.step == 0:
             raise ValueError("no update has been applied yet")
-        correction = 1.0 - self.beta2 ** self.step
-        v_hat = self.v / correction
-        eta = self.lr_schedule.at(self.step)
-        return (np.sqrt(v_hat) + self.eps) / eta
+        return self._diagonal(self.v, self.step)
+
+    def _advanced(self, g, out=None):
+        """beta2*v + (1-beta2)*g*g for a checked gradient g; a long vector
+        goes into `out` when given (else a new array)."""
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != self.v.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match state {self.v.shape}")
+        if not np.isfinite(g).all():
+            raise NumericError("gradient contains non-finite entries")
+        if g.size < IN_PLACE_MIN_SIZE:
+            return self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        fresh = np.multiply(1.0 - self.beta2, g)
+        fresh *= g
+        v = np.multiply(self.v, self.beta2, out=out)
+        v += fresh
+        return v
+
+    def _diagonal(self, v, step, out=None):
+        """(sqrt(v / (1 - beta2^step)) + eps) / eta_step; a long vector
+        goes into `out` when given (else a new array)."""
+        correction = 1.0 - self.beta2 ** step
+        eta = self.lr_schedule.at(step)
+        if v.size < IN_PLACE_MIN_SIZE:
+            return (np.sqrt(v / correction) + self.eps) / eta
+        d = np.divide(v, correction, out=out)
+        np.sqrt(d, out=d)
+        d += self.eps
+        d /= eta
+        return d
 
     def copy(self):
         dup = CurvatureState(len(self.v), self.lr_schedule, self.beta2, self.eps)

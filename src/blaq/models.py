@@ -111,8 +111,8 @@ class MlpClassifier:
         self.graph = g
 
     def set_weights(self, weights, biases):
-        for name, values in zip(self.weight_names, weights):
-            self.graph.set_parameter(name, np.asarray(values).reshape(self.graph.get_parameter(name).shape))
+        for name, values, shape in zip(self.weight_names, weights, self.weight_shapes):
+            self.graph.set_parameter(name, np.asarray(values).reshape(shape))
         for name, values in zip(self.bias_names, biases):
             self.graph.set_parameter(name, values)
 

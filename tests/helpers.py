@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference oracle and tolerances."""
+"""Shared test utilities: finite-difference oracle, tolerances, bit equality."""
 
 import numpy as np
 
@@ -31,3 +31,9 @@ def grads_close(analytic, numeric, rel=REL_TOL, floor=ABS_FLOOR):
     err = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     return bool(np.all((err <= rel * scale) | (err <= floor)))
+
+
+def same_bits(x, y):
+    """Equal float64 bit patterns: tells -0.0 from 0.0 and matches NaNs."""
+    return np.array_equal(np.asarray(x, dtype=np.float64).view(np.uint64),
+                          np.asarray(y, dtype=np.float64).view(np.uint64))

@@ -8,7 +8,7 @@ import pytest
 from blaq.autodiff import Graph
 from blaq.errors import NumericError, StateError
 from blaq.models import MlpClassifier, fig1_quadratic
-from helpers import finite_difference_grad, grads_close
+from helpers import finite_difference_grad, grads_close, same_bits
 
 
 def scalar_square_graph(value):
@@ -108,6 +108,59 @@ class TestBackward:
         g = obj.graph
         for uid, grad in g.gradients.items():
             assert grad.shape == g.nodes[uid].value.shape
+
+
+class TestGradientPruning:
+    """Partials are formed only toward inputs that lead to a parameter."""
+
+    @staticmethod
+    def _mlp_batch(seed):
+        rng = np.random.default_rng(seed)
+        model = MlpClassifier([12, 9, 7, 5], seed=seed)
+        return model, rng.normal(size=(6, 12)), rng.integers(0, 5, size=6)
+
+    def test_mlp_gradients_match_the_unpruned_pass_bit_for_bit(self):
+        for seed in range(5):
+            model, x, y = self._mlp_batch(seed)
+            g = model.graph
+            g.forward({"x": x, "y": y})
+            pruned = g.backward()
+            for node in g.nodes:
+                node.needs_grad = True      # the reference: every partial formed
+            g.forward({"x": x, "y": y})
+            full = g.backward()
+            assert set(pruned) == set(full)
+            for name in pruned:
+                assert same_bits(pruned[name], full[name])
+
+    def test_no_partial_for_placeholders_or_constants(self):
+        model, x, y = self._mlp_batch(7)
+        g = model.graph
+        g.forward({"x": x, "y": y})
+        g.backward()
+        leaves = [n for n in g.nodes if n.kind in ("placeholder", "constant")]
+        assert leaves and all(n.grad is None and n.uid not in g.gradients for n in leaves)
+        # the first matmul is x @ W1: only W1's partial is formed
+        first = next(n for n in g.nodes if n.kind == "matmul")
+        assert [g.nodes[i].kind for i in first.inputs] == ["placeholder", "parameter"]
+        assert first.inputs[1] in g.gradients
+
+        obj = fig1_quadratic()
+        obj.grad_at([0.3, 0.7])
+        constants = [n for n in obj.graph.nodes if n.kind == "constant"]
+        assert len(constants) == 2
+        assert all(n.uid not in obj.graph.gradients for n in constants)
+
+    def test_needs_grad_is_set_when_the_graph_is_built(self):
+        g = Graph()
+        x = g.placeholder("x", (None, 3))
+        c = g.constant(np.ones((3, 2)))
+        w = g.parameter("w", np.ones((3, 2)))
+        const_only = g.matmul(x, c)
+        with_param = g.matmul(x, w)
+        assert not (x.needs_grad or c.needs_grad or const_only.needs_grad)
+        assert w.needs_grad and with_param.needs_grad
+        assert g.add(const_only, with_param).needs_grad
 
 
 class TestErrors:

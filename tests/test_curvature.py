@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from blaq.buffers import IN_PLACE_MIN_SIZE
 from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import NumericError
+from helpers import same_bits
 
 
 class TestLrSchedule:
@@ -114,3 +116,77 @@ class TestCurvatureUpdate:
             CurvatureState(2, LrSchedule.constant(0.1), eps=0.0)
         with pytest.raises(ValueError):
             CurvatureState(2, LrSchedule.constant(0.1)).d_hat()
+
+
+def _reference_update(v, step, g, beta2, eps, schedule):
+    """The update written out as one expression per quantity, on copies."""
+    v = beta2 * v + (1.0 - beta2) * g * g
+    step += 1
+    v_hat = v / (1.0 - beta2 ** step)
+    return v, step, (np.sqrt(v_hat) + eps) / schedule.at(step)
+
+
+class TestInPlaceAndPeek:
+    # the rate changes at step 3, so a peek that used the current step's
+    # rate instead of the next one would show
+    SCHEDULE = LrSchedule([(0, 0.1), (3, 0.02), (5, 0.3)])
+
+    # both sides of the size from which the arithmetic runs in place
+    SIZES = [1, 50, IN_PLACE_MIN_SIZE]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("beta2", [0.0, 0.9, 0.999])
+    def test_update_matches_the_expression_bit_for_bit(self, beta2, n):
+        rng = np.random.default_rng(31)
+        state = CurvatureState(n, self.SCHEDULE, beta2=beta2, eps=1e-8)
+        v, step = np.zeros(n), 0
+        for _ in range(7):
+            g = rng.normal(size=n) * 10.0 ** rng.integers(-6, 4)
+            v, step, d_ref = _reference_update(v, step, g, beta2, 1e-8, self.SCHEDULE)
+            assert same_bits(state.update(g), d_ref)
+            assert same_bits(state.v, v) and state.step == step
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("beta2", [0.0, 0.9, 0.999])
+    def test_peek_is_copy_update_and_changes_nothing(self, beta2, n):
+        rng = np.random.default_rng(32)
+        state = CurvatureState(n, self.SCHEDULE, beta2=beta2, eps=1e-6)
+        for _ in range(7):
+            state.update(rng.normal(size=n))
+            v_before, step_before = state.v.copy(), state.step
+            g = rng.normal(size=n) * 3.0
+            peeked = state.peek(g)
+            assert same_bits(peeked, state.copy().update(g))
+            assert same_bits(state.v, v_before) and state.step == step_before
+
+    def test_peek_before_any_update(self):
+        state = CurvatureState(3, self.SCHEDULE)
+        g = np.array([1.0, -2.0, 0.0])
+        assert same_bits(state.peek(g), state.copy().update(g))
+        assert state.step == 0 and not state.v.any()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_update_and_peek_return_new_arrays(self, n):
+        state = CurvatureState(n, self.SCHEDULE)
+        g = np.ones(n)
+        d = state.update(g)
+        assert not np.shares_memory(d, state.v)
+        assert not np.shares_memory(state.peek(g), state.v)
+        assert not np.shares_memory(state.peek(g), d)
+
+    def test_peek_errors(self):
+        state = CurvatureState(2, self.SCHEDULE)
+        with pytest.raises(ValueError):
+            state.peek(np.ones(3))
+        with pytest.raises(NumericError):
+            state.peek(np.array([1.0, float("inf")]))
+        assert state.step == 0 and not state.v.any()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rejected_update_leaves_the_state(self, n):
+        state = CurvatureState(n, self.SCHEDULE)
+        state.update(np.arange(1.0, n + 1.0))
+        v = state.v.copy()
+        with pytest.raises(NumericError):
+            state.update(np.full(n, np.nan))
+        assert same_bits(state.v, v) and state.step == 1

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blaq
 from blaq.cli import main as cli_main
 from blaq.config import config_from_dict, load_config
 from blaq.errors import ConfigError
@@ -279,6 +282,21 @@ class TestCliLimits:
         assert err.startswith("diverged: ") and where in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["toy-pow32", "--eta-schedule", "[[0,1e300]]"],
+        ["toy2d", "--omega0", "[1e308,1]"],
+    ])
+    def test_divergence_is_the_first_stderr_line_of_a_process(self, tmp_path, argv):
+        # numpy's overflow warnings would come first; the CLI silences them
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blaq.__file__)))
+        out = subprocess.run([sys.executable, "-m", "blaq.cli", *argv,
+                              "--output-dir", str(tmp_path / "run")],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+        assert out.returncode == 3
+        assert out.stderr.splitlines()[0].startswith("diverged: ")
+        assert "Warning" not in out.stderr
+
     def test_sweep_breakpoint_limit_exit_two(self, tmp_path, capsys):
         data_dir = make_synthetic_fixture(str(tmp_path / "data"),
                                           n_train=40, n_test=20, seed=2)
@@ -372,3 +390,76 @@ class TestCliLimits:
                          "--output-dir", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["final_quarter_window"] == 1
+
+
+class TestConfigRoundTrip:
+    """A run's own config.json loads back as --config and reruns the run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["toy2d", "--steps", "40"],
+        ["toy2d", "--steps", "40", "--eta-schedule", "[[0,0.1],[20,0.05]]",
+         "--omega0", "[0.5,-1]"],
+        ["toy2d", "--sweep-bitwidths", "[1,2]", "--eta-schedule", "[[0,0.2]]",
+         "--beta2", "0.9", "--steps", "300", "--window", "100"],
+        ["toy-pow32", "--optimizer", "laq", "--steps", "30"],
+        ["theory-check", "--n-instances", "3"],
+        ["train-mnist", "--epochs", "1", "--hidden", "[8]", "--data-dir", "{data}"],
+    ])
+    def test_rerun_from_the_echo_is_byte_identical(self, tmp_path, argv):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"),
+                                          n_train=40, n_test=20, seed=2)
+        argv = [a.format(data=data_dir) for a in argv]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli_main(argv + ["--output-dir", str(first)]) == 0
+        assert cli_main([argv[0], "--config", str(first / "config.json"),
+                         "--output-dir", str(second)]) == 0
+        files = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(str(p.relative_to(second))
+                               for p in second.rglob("*") if p.is_file())
+        for rel in files:
+            a, b = (first / rel).read_bytes(), (second / rel).read_bytes()
+            if os.path.basename(rel) != "config.json":
+                assert a == b, rel
+                continue
+            a, b = json.loads(a), json.loads(b)
+            assert a.pop("output_dir").startswith(str(first))
+            assert b.pop("output_dir").startswith(str(second))
+            assert a == b
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"steps": 50, "resolved_steps": 40}, "disagrees with steps"),
+        ({"omega0": [1, 1], "resolved_omega0": [1, 0.5]}, "disagrees with omega0"),
+        ({"eta_schedule": [[0, 0.1]], "resolved_eta_schedule": [[0, 0.2]]},
+         "disagrees with eta_schedule"),
+        ({"resolved_steps": 0}, "bad resolved_steps"),
+        ({"resolved_steps": 2.5}, "bad resolved_steps"),
+        ({"resolved_omega0": [np.inf]}, "bad resolved_omega0"),
+        ({"resolved_eta_schedule": [[0, -1.0]]}, "bad resolved_eta_schedule"),
+        ({"resolved_eta_schedule": 5}, "bad resolved_eta_schedule"),
+        ({"resolved_steps_per_epoch": -3}, "bad resolved_steps_per_epoch"),
+        ({"resolved_seed": 3}, "unknown config keys: ['resolved_seed']"),
+    ])
+    def test_resolved_keys_are_checked(self, patch, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"experiment": "toy2d", **patch})
+        assert message in str(exc.value)
+
+    def test_agreeing_resolved_keys_accepted(self):
+        cfg = config_from_dict({"experiment": "toy2d", "steps": 40, "resolved_steps": 40,
+                                "omega0": [1, 1], "resolved_omega0": [1.0, 1.0],
+                                "eta_schedule": [[0, 1]], "resolved_eta_schedule": [[0, 1.0]]})
+        assert cfg == config_from_dict({"experiment": "toy2d", "steps": 40, "omega0": [1, 1],
+                                        "eta_schedule": [[0, 1]]})
+
+    def test_edited_resolved_value_exit_two(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert cli_main(["toy2d", "--steps", "20", "--output-dir", str(first)]) == 0
+        echo = json.loads((first / "config.json").read_text())
+        echo["resolved_steps"] = 30
+        (tmp_path / "edited.json").write_text(json.dumps(echo))
+        out = tmp_path / "second"
+        code = cli_main(["toy2d", "--config", str(tmp_path / "edited.json"),
+                         "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: resolved_steps=30 disagrees")
+        assert not out.exists()

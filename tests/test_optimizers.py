@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blaq.buffers import IN_PLACE_MIN_SIZE
 from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import ConfigError, NumericError
 from blaq.metrics import TrajectoryRecord, flip_count
@@ -10,6 +11,7 @@ from blaq.models import abs_power_objective, fig1_quadratic
 from blaq.optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
                              full_precision_step, laq_step, step)
 from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
+from helpers import same_bits
 
 
 class FixedCurvature:
@@ -21,6 +23,9 @@ class FixedCurvature:
 
     def update(self, g):
         self.step += 1
+        return self.d.copy()
+
+    def peek(self, g):
         return self.d.copy()
 
     def copy(self):
@@ -414,3 +419,103 @@ class TestLayerLists:
         n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
         with pytest.raises(ConfigError):
             LayerQuantState.initialize(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
+
+
+def _reference_proximal_step(layers, grad_at):
+    """The proximal step written out as one expression per quantity."""
+    points = [s.w_hat() for s in layers]
+    for s, w_hat, g in zip(layers, points, grad_at(points)):
+        s.g_hat = np.asarray(g, dtype=np.float64)
+        s.d_hat = s.curvature.update(s.g_hat)
+        s.place(w_hat - s.g_hat / s.d_hat, s.d_hat)
+        s.step_count += 1
+
+
+def _reference_blaq_step(layers, grad_at, a):
+    """The backtracking step written out, with the trial metric taken from
+    a copy of the curvature."""
+    trial_points = []
+    for s, g in zip(layers, grad_at([s.w_hat() for s in layers])):
+        s.g_hat = np.asarray(g, dtype=np.float64)
+        s.d_hat = s.curvature.update(s.g_hat)
+        w_star = s.w - s.g_hat / s.d_hat
+        code_star = s.fit(w_star, s.d_hat)
+        trial_points.append(w_star if code_star is None else code_star.w_hat())
+    for s, g_star in zip(layers, grad_at(trial_points)):
+        g_star = np.asarray(g_star, dtype=np.float64)
+        d_star = s.curvature.copy().update(g_star)
+        s.g_hat = a * s.g_hat + (1.0 - a) * g_star
+        s.d_hat = a * s.d_hat + (1.0 - a) * d_star
+        s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
+        s.step_count += 1
+
+
+def _mixed_layers(seed):
+    """1-bit, 2-bit and full-precision layers, each once on either side of
+    the size from which the arithmetic runs in place, with a joint
+    quadratic gradient whose curvature differs per coordinate."""
+    rng = np.random.default_rng(seed)
+    big = IN_PLACE_MIN_SIZE + 3
+    kinds = [(1, 40), (1, big), (2, 30), (2, big), (None, 5), (None, big)]
+    schedule = LrSchedule([(0, 0.05), (4, 0.02)])
+    layers = []
+    for k, n in kinds:
+        curvature = CurvatureState(n, schedule, 0.99)
+        w0 = rng.normal(size=n)
+        layers.append(FullPrecisionState(w=w0, curvature=curvature) if k is None
+                      else LayerQuantState.initialize(w0, QuantGrid(k), curvature))
+    lams = [rng.uniform(0.5, 5.0, size=n) for _, n in kinds]
+    centers = [rng.normal(size=n) * 0.3 for _, n in kinds]
+
+    def grad_at(points):
+        return [lam * (p - c) for lam, p, c in zip(lams, points, centers)]
+
+    return layers, grad_at
+
+
+class TestLeanStep:
+    """The steps' in-place arithmetic against the plain expressions."""
+
+    @pytest.mark.parametrize("kind, a", [("laq", 0.6), ("blaq", 0.6), ("blaq", 0.0),
+                                         ("blaq", 1.0), ("blaq", 0.3)])
+    def test_bit_identical_to_the_plain_expressions(self, kind, a):
+        lean, grad_at = _mixed_layers(41)
+        plain, _ = _mixed_layers(41)
+        for _ in range(8):
+            step(kind, lean, grad_at, a)
+            if kind == "laq":
+                _reference_proximal_step(plain, grad_at)
+            else:
+                _reference_blaq_step(plain, grad_at, a)
+            for x, y in zip(lean, plain):
+                for name in ("w", "g_hat", "d_hat"):
+                    assert same_bits(getattr(x, name), getattr(y, name)), name
+                assert same_bits(x.curvature.v, y.curvature.v)
+                if isinstance(x, LayerQuantState):
+                    assert x.code.alpha == y.code.alpha
+                    assert same_bits(x.code.beta, y.code.beta)
+
+    @pytest.mark.parametrize("n", [6, IN_PLACE_MIN_SIZE])
+    @pytest.mark.parametrize("kind", ["laq", "blaq", "full-precision"])
+    def test_no_caller_array_is_written(self, kind, n):
+        rng = np.random.default_rng(42)
+        held = [rng.normal(size=n), rng.normal(size=3)]
+        kept = [w.copy() for w in held]
+        schedule = LrSchedule.constant(0.1)
+        if kind == "full-precision":
+            layers = [FullPrecisionState(w=w, curvature=CurvatureState(w.size, schedule))
+                      for w in held]
+        else:
+            layers = [make_state(held[0], 0.5, np.sign(held[0]), CurvatureState(n, schedule)),
+                      FullPrecisionState(w=held[1], curvature=CurvatureState(3, schedule))]
+        handed = []     # (array, its value when handed over), both directions
+
+        def grad_at(points):
+            grads = [np.cos(3.0 * p) for p in points]
+            handed.extend((x, x.copy()) for x in [*points, *grads])
+            return grads
+
+        for _ in range(5):
+            step(kind, layers, grad_at, 0.6)
+        assert all(np.array_equal(w, k) for w, k in zip(held, kept))
+        assert handed and all(np.array_equal(x, value) for x, value in handed)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from blaq.buffers import IN_PLACE_MIN_SIZE
 from blaq.errors import NumericError
-from blaq.quantizer import (QuantGrid, ScaledCode, exhaustive_project,
+from blaq.quantizer import (QuantGrid, ScaledCode, _sign, exhaustive_project,
                             nearest_level, project, weighted_objective,
                             ZERO_VECTOR_ALPHA)
+from helpers import same_bits
 
 
 class TestQuantGrid:
@@ -63,6 +65,51 @@ class TestNearestLevel:
         grid = QuantGrid(2)
         out = nearest_level(grid, np.array([0.6, -0.75, 2.0]))
         assert list(out) == [0.5, -1.0, 1.0]
+
+
+# -0.0, +-subnormals (the smallest and the largest), NaN of both signs, infinities
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072009e-308, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0])
+
+
+def _nearest_level_with_where(grid, x):
+    """nearest_level as written with np.where and one expression."""
+    arr = np.asarray(x, dtype=np.float64)
+    sign = np.where(arr < 0.0, -1.0, 1.0)
+    n = grid.resolution
+    idx = np.minimum(np.maximum(np.floor(np.abs(arr) * n + 0.5), 1.0), float(n))
+    out = sign * idx / n
+    return float(out) if arr.ndim == 0 else out
+
+
+class TestBranchFreeSign:
+    @pytest.mark.parametrize("copies", [1, IN_PLACE_MIN_SIZE // len(SPECIALS) + 1])
+    def test_sign_equals_where_on_special_values(self, copies):
+        x = np.tile(SPECIALS, copies)
+        assert same_bits(_sign(x), np.where(x < 0.0, -1.0, 1.0))
+        assert list(_sign(x)[:2]) == [1.0, 1.0]
+
+    def test_sign_equals_where_on_random_values(self):
+        x = np.random.default_rng(5).normal(size=10_000) * 10.0 ** np.arange(-150, 150, 0.03)
+        assert same_bits(_sign(x), np.where(x < 0.0, -1.0, 1.0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_nearest_level_bit_for_bit(self, k):
+        grid = QuantGrid(k)
+        rng = np.random.default_rng(k)
+        x = np.concatenate([SPECIALS, rng.uniform(-1.5, 1.5, size=2000),
+                            nearest_level(grid, rng.uniform(-1, 1, size=50)) * 1.0])
+        assert same_bits(nearest_level(grid, x), _nearest_level_with_where(grid, x))
+        for v in SPECIALS:
+            got, want = nearest_level(grid, v), _nearest_level_with_where(grid, v)
+            assert type(got) is float and same_bits(got, want)
+            assert type(nearest_level(grid, np.asarray(v))) is float
+
+    @pytest.mark.parametrize("copies", [1, IN_PLACE_MIN_SIZE // 6 + 1])
+    def test_one_bit_code_of_signed_zeros_and_subnormals(self, copies):
+        w = np.tile(SPECIALS[:6], copies)
+        code = project(w, np.ones(w.size), QuantGrid(1))
+        assert same_bits(code.beta, np.where(w < 0.0, -1.0, 1.0))
 
 
 class TestScaledCode:
