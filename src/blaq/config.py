@@ -206,8 +206,9 @@ def config_from_dict(data):
 def load_config(path=None, overrides=None, experiment=None):
     """Merge config file, CLI overrides, and the subcommand's experiment.
 
-    Overrides win over the file; an experiment named by either that is
-    not the subcommand's is a ConfigError.
+    Overrides win over the file, and over the file's echoed `resolved_*`
+    value of a key they set; an experiment named by either that is not
+    the subcommand's is a ConfigError.
     """
     data = {}
     if path:
@@ -232,5 +233,10 @@ def load_config(path=None, overrides=None, experiment=None):
                     f"{source} says experiment={values['experiment']!r} but the "
                     f"{experiment!r} subcommand was invoked")
         parsed["experiment"] = experiment
+    # an echoed value stands for the file's key, so an override of that key
+    # replaces both (the run resolves it afresh)
+    for key, (_, resolves) in _RESOLVED_KEYS.items():
+        if resolves in parsed:
+            data.pop(key, None)
     data.update(parsed)
     return config_from_dict(data)

@@ -74,19 +74,22 @@ class CurvatureState:
         v <- beta2*v + (1-beta2)*g*g (in place on a long vector), then
         D = (sqrt(v_hat) + eps) / eta_t with v_hat the bias-corrected
         moment.  Every entry of D is strictly positive, and D is a new
-        array, which the caller may overwrite.
+        array.
         """
-        self.v = self._advanced(g, out=self.v)
+        fresh = self._fresh(g)
+        if fresh.size < IN_PLACE_MIN_SIZE:
+            self.v = self.beta2 * self.v + fresh
+        else:
+            self.v *= self.beta2
+            self.v += fresh
         self.step += 1
         return self.d_hat()
 
     def peek(self, g):
-        """The diagonal `update(g)` would return, with no state change.
-
-        Bit for bit what `copy().update(g)` returns, without copying v;
-        a new array, like update's.
-        """
-        v = self._advanced(g)
+        """The diagonal `update(g)` would return, with no state change:
+        bit for bit `copy().update(g)`, without copying v."""
+        v = self.beta2 * self.v
+        v += self._fresh(g)
         return self._diagonal(v, self.step + 1, out=v)
 
     def d_hat(self):
@@ -95,25 +98,20 @@ class CurvatureState:
             raise ValueError("no update has been applied yet")
         return self._diagonal(self.v, self.step)
 
-    def _advanced(self, g, out=None):
-        """beta2*v + (1-beta2)*g*g for a checked gradient g; a long vector
-        goes into `out` when given (else a new array)."""
+    def _fresh(self, g):
+        """(1-beta2)*g*g for a checked gradient g, in a new array."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.v.shape:
             raise ValueError(f"gradient shape {g.shape} does not match state {self.v.shape}")
         if not np.isfinite(g).all():
             raise NumericError("gradient contains non-finite entries")
-        if g.size < IN_PLACE_MIN_SIZE:
-            return self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        fresh = np.multiply(1.0 - self.beta2, g)
+        fresh = (1.0 - self.beta2) * g
         fresh *= g
-        v = np.multiply(self.v, self.beta2, out=out)
-        v += fresh
-        return v
+        return fresh
 
     def _diagonal(self, v, step, out=None):
-        """(sqrt(v / (1 - beta2^step)) + eps) / eta_step; a long vector
-        goes into `out` when given (else a new array)."""
+        """(sqrt(v_hat) + eps) / eta_step with v_hat = v / (1 - beta2^step);
+        on a long vector into `out` when given, else a new array."""
         correction = 1.0 - self.beta2 ** step
         eta = self.lr_schedule.at(step)
         if v.size < IN_PLACE_MIN_SIZE:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffers import IN_PLACE_MIN_SIZE
 from .curvature import CurvatureState
 from .errors import ConfigError, NumericError
 from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
@@ -109,24 +108,6 @@ def _as_layers(states, grad_at=None):
     return [states], lambda points: [grad_at(points[0])]
 
 
-def _move(base, g, d):
-    """The proximal move base - g/d, in one new array on a long layer."""
-    if g.size < IN_PLACE_MIN_SIZE:
-        return base - g / d
-    moved = np.divide(g, d)
-    return np.subtract(base, moved, out=moved)
-
-
-def _mix(a, x, y, out=None, scratch=None):
-    """a*x + (1-a)*y; on a long layer into `out` when given (else a new
-    array), with (1-a)*y formed in `scratch` when given."""
-    if x.size < IN_PLACE_MIN_SIZE:
-        return a * x + (1.0 - a) * y
-    mixed = np.multiply(a, x, out=out)
-    mixed += np.multiply(1.0 - a, y, out=scratch)
-    return mixed
-
-
 def _proximal_step(states, grad_at):
     """Gradient at every layer's quantized point, proximal move from that
     point, reprojection under the fresh metric."""
@@ -136,7 +117,7 @@ def _proximal_step(states, grad_at):
         g = np.asarray(g, dtype=np.float64)
         d = s.curvature.update(g)
         s.g_hat, s.d_hat = g, d
-        s.place(_move(w_hat, g, d), d)
+        s.place(w_hat - g / d, d)
         s.step_count += 1
     return states
 
@@ -156,8 +137,7 @@ def blaq_step(states, grad_at, a):
     full-precision w.  The trial metric is the curvature's `peek`, so the
     real statistics are untouched.  Each layer then steps from w with the
     mixtures a*g_hat + (1-a)*g* and a*d_hat + (1-a)*d*, for a mixing
-    coefficient a in [0, 1].  No array returned by `grad_at`, and no
-    weight array a caller holds, is written to.
+    coefficient a in [0, 1].
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"mixing coefficient a must lie in [0, 1], got {a}")
@@ -166,17 +146,15 @@ def blaq_step(states, grad_at, a):
     for s, g in zip(layers, grad_at([s.w_hat() for s in layers])):
         s.g_hat = np.asarray(g, dtype=np.float64)
         s.d_hat = s.curvature.update(s.g_hat)
-        w_star = _move(s.w, s.g_hat, s.d_hat)
+        w_star = s.w - s.g_hat / s.d_hat
         code_star = s.fit(w_star, s.d_hat)
         trial_points.append(w_star if code_star is None else code_star.w_hat())
     for s, g_star in zip(layers, grad_at(trial_points)):
         g_star = np.asarray(g_star, dtype=np.float64)
-        # d_hat and d_star are this step's own arrays: the metric mix may
-        # overwrite both, and then d_star is the gradient mix's scratch
         d_star = s.curvature.peek(g_star)
-        s.d_hat = _mix(a, s.d_hat, d_star, out=s.d_hat, scratch=d_star)
-        s.g_hat = _mix(a, s.g_hat, g_star, scratch=d_star)
-        s.place(_move(s.w, s.g_hat, s.d_hat), s.d_hat)
+        s.g_hat = a * s.g_hat + (1.0 - a) * g_star
+        s.d_hat = a * s.d_hat + (1.0 - a) * d_star
+        s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
         s.step_count += 1
     return states
 

@@ -126,12 +126,12 @@ def _reference_update(v, step, g, beta2, eps, schedule):
     return v, step, (np.sqrt(v_hat) + eps) / schedule.at(step)
 
 
-class TestInPlaceAndPeek:
+class TestUpdateAndPeek:
     # the rate changes at step 3, so a peek that used the current step's
     # rate instead of the next one would show
     SCHEDULE = LrSchedule([(0, 0.1), (3, 0.02), (5, 0.3)])
 
-    # both sides of the size from which the arithmetic runs in place
+    # both sides of the size from which the metric is computed in place
     SIZES = [1, 50, IN_PLACE_MIN_SIZE]
 
     @pytest.mark.parametrize("n", SIZES)

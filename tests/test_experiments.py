@@ -392,6 +392,22 @@ class TestCliLimits:
         assert metrics["final_quarter_window"] == 1
 
 
+def _assert_same_run(first, second):
+    """The same output files, byte for byte; config.json may differ only
+    in its output_dir."""
+    files = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(second)) for p in second.rglob("*") if p.is_file())
+    for rel in files:
+        a, b = (first / rel).read_bytes(), (second / rel).read_bytes()
+        if os.path.basename(rel) != "config.json":
+            assert a == b, rel
+            continue
+        a, b = json.loads(a), json.loads(b)
+        assert a.pop("output_dir").startswith(str(first))
+        assert b.pop("output_dir").startswith(str(second))
+        assert a == b
+
+
 class TestConfigRoundTrip:
     """A run's own config.json loads back as --config and reruns the run."""
 
@@ -413,18 +429,21 @@ class TestConfigRoundTrip:
         assert cli_main(argv + ["--output-dir", str(first)]) == 0
         assert cli_main([argv[0], "--config", str(first / "config.json"),
                          "--output-dir", str(second)]) == 0
-        files = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
-        assert files == sorted(str(p.relative_to(second))
-                               for p in second.rglob("*") if p.is_file())
-        for rel in files:
-            a, b = (first / rel).read_bytes(), (second / rel).read_bytes()
-            if os.path.basename(rel) != "config.json":
-                assert a == b, rel
-                continue
-            a, b = json.loads(a), json.loads(b)
-            assert a.pop("output_dir").startswith(str(first))
-            assert b.pop("output_dir").startswith(str(second))
-            assert a == b
+        _assert_same_run(first, second)
+
+    @pytest.mark.parametrize("override", [
+        ["--steps", "80"],
+        ["--omega0", "[0.5,-1]"],
+        ["--eta-schedule", "[[0,0.05]]"],
+        ["--steps", "null"],
+    ])
+    def test_override_replaces_the_echoed_value(self, tmp_path, override):
+        echoed, rerun, direct = tmp_path / "echoed", tmp_path / "rerun", tmp_path / "direct"
+        assert cli_main(["toy2d", "--steps", "120", "--output-dir", str(echoed)]) == 0
+        assert cli_main(["toy2d", "--config", str(echoed / "config.json"), *override,
+                         "--output-dir", str(rerun)]) == 0
+        assert cli_main(["toy2d", "--steps", "120", *override, "--output-dir", str(direct)]) == 0
+        _assert_same_run(direct, rerun)
 
     @pytest.mark.parametrize("patch, message", [
         ({"steps": 50, "resolved_steps": 40}, "disagrees with steps"),

@@ -452,8 +452,9 @@ def _reference_blaq_step(layers, grad_at, a):
 
 def _mixed_layers(seed):
     """1-bit, 2-bit and full-precision layers, each once on either side of
-    the size from which the arithmetic runs in place, with a joint
-    quadratic gradient whose curvature differs per coordinate."""
+    the size from which the metric and the sign are computed in place,
+    with a joint quadratic gradient whose curvature differs per
+    coordinate."""
     rng = np.random.default_rng(seed)
     big = IN_PLACE_MIN_SIZE + 3
     kinds = [(1, 40), (1, big), (2, 30), (2, big), (None, 5), (None, big)]
@@ -473,8 +474,9 @@ def _mixed_layers(seed):
     return layers, grad_at
 
 
-class TestLeanStep:
-    """The steps' in-place arithmetic against the plain expressions."""
+class TestStepsAgainstReference:
+    """The steps against one expression per quantity, the trial metric
+    from a copy of the curvature."""
 
     @pytest.mark.parametrize("kind, a", [("laq", 0.6), ("blaq", 0.6), ("blaq", 0.0),
                                          ("blaq", 1.0), ("blaq", 0.3)])
