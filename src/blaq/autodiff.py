@@ -46,8 +46,10 @@ class Graph:
 
     Build once (placeholders, parameters, ops), then alternate
     `forward(inputs)` / `backward()`.  Parameters persist across calls
-    and are updated with `set_parameter`.  The reverse pass forms a
-    partial only toward inputs from which a parameter can be reached, so
+    and are updated with `set_parameter`, which keeps a float64 array as
+    given: the graph then holds the caller's array, and a later write
+    into it changes the parameter.  The reverse pass forms a partial
+    only toward inputs from which a parameter can be reached, so
     placeholders and constants never get one.
     """
 
@@ -224,7 +226,7 @@ class Graph:
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != node.value.shape:
             raise ValueError(f"parameter {name!r} has shape {node.value.shape}, got {arr.shape}")
-        node.value = arr.astype(np.float64, copy=True)
+        node.value = arr
 
     def get_parameter(self, name):
         return self.nodes[self._params[name]].value.copy()

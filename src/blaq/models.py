@@ -15,7 +15,9 @@ class ToyObjective:
     snapshot of w_hat, then the next step's first gradient) runs only the
     backward pass.  Points match when their float64 bytes do; a forward
     pass that raises forgets the point.  The memo holds while the graph
-    is driven only through these two methods.
+    is driven only through these two methods.  The graph gets a copy of
+    the point, so a caller's later write into its array cannot reach a
+    remembered pass.
     """
 
     def __init__(self, graph, param_name):
@@ -30,7 +32,7 @@ class ToyObjective:
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         self._last = None
-        self.graph.set_parameter(self.param_name, w)
+        self.graph.set_parameter(self.param_name, w.copy())
         loss = self.graph.forward({})
         self._last = (key, loss)
         return loss

@@ -7,7 +7,7 @@ import pytest
 
 from blaq.autodiff import Graph
 from blaq.errors import NumericError, StateError
-from blaq.models import MlpClassifier, fig1_quadratic
+from blaq.models import MlpClassifier, abs_power_objective, fig1_quadratic
 from helpers import finite_difference_grad, grads_close, same_bits
 
 
@@ -386,3 +386,38 @@ class TestToyObjectiveMemo:
         assert len(forwards) == 4
         assert obj.loss_at([0.3, -0.2]) == good
         assert len(forwards) == 5
+
+
+class TestParametersHeldAsGiven:
+    """`set_parameter` keeps the caller's float64 array; the toy memo copies."""
+
+    def test_eval_batch_shares_memory_with_the_arrays_handed_to_it(self):
+        rng = np.random.default_rng(3)
+        model = MlpClassifier([12, 9, 7, 5], seed=3)
+        weights = [rng.normal(size=a * b) for a, b in model.weight_shapes]
+        biases = [rng.normal(size=b) for _, b in model.weight_shapes]
+        x, y = rng.normal(size=(6, 12)), rng.integers(0, 5, size=6)
+        model.eval_batch(x, y, weights, biases)
+        for name, arr in zip(model.weight_names + model.bias_names, weights + biases):
+            assert np.shares_memory(model.graph.nodes[model.graph._params[name]].value, arr)
+        weights[0][0] = 123.0
+        assert model.graph.get_parameter("W1")[0, 0] == 123.0
+
+    def test_non_float64_values_are_converted(self):
+        g = Graph()
+        g.mark_loss(g.reduce_sum(g.parameter("w", np.zeros(3))))
+        values = np.array([1, 2, 3], dtype=np.int64)
+        g.set_parameter("w", values)
+        values[0] = 7
+        assert list(g.get_parameter("w")) == [1.0, 2.0, 3.0]
+
+    def test_toy_gradient_survives_a_write_into_the_array_given_to_loss_at(self):
+        # the partial of |w| reads the parameter's own value in the reverse pass
+        obj = abs_power_objective(w0=(0.5, -0.2))
+        w = np.array([0.5, -0.2])
+        loss = obj.loss_at(w)
+        w[:] = [-5.0, 5.0]                  # the caller reuses its array
+        grad = obj.grad_at(np.array([0.5, -0.2]))      # the memo's point: backward only
+        fresh = abs_power_objective(w0=(0.5, -0.2))
+        assert same_bits(grad, fresh.grad_at([0.5, -0.2]))
+        assert obj.loss_at([0.5, -0.2]) == loss

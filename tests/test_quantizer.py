@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blaq import quantizer
 from blaq.buffers import IN_PLACE_MIN_SIZE
 from blaq.errors import NumericError
 from blaq.quantizer import (QuantGrid, ScaledCode, _sign, exhaustive_project,
@@ -313,3 +314,117 @@ class TestOneBitDirect:
             code = project(w, d, QuantGrid(1))
             assert code.alpha == alpha
             assert code.beta.tobytes() == beta.tobytes()
+
+
+def _weights(kind, m, rng):
+    """A weight vector of one of the shapes a sweep must handle."""
+    if kind == "normal":
+        return rng.normal(size=m)
+    if kind == "heavy":
+        return rng.standard_t(2, size=m)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size=m)
+    if kind == "rounded":                       # many repeated magnitudes
+        return np.round(rng.normal(size=m), 2)
+    if kind == "zeros":
+        w = rng.normal(size=m)
+        w[rng.random(m) < 0.1] = 0.0
+        return w
+    if kind == "equal":                         # every breakpoint of a level step equal
+        return 0.37 * rng.choice([-1.0, 1.0], size=m)
+    raise ValueError(kind)
+
+
+WEIGHT_KINDS = ["normal", "heavy", "uniform", "rounded", "zeros", "equal"]
+
+
+def _whole_sort_code(monkeypatch, w, d, grid):
+    """project with every sweep sorting all of its breakpoints."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quantizer, "BUCKET_SWEEP_MIN", 2 ** 62)
+        return project(w, d, grid)
+
+
+def _same_code(a, b):
+    return same_bits(a.alpha, b.alpha) and same_bits(a.beta, b.beta)
+
+
+class TestBucketedSweep:
+    """The sweep that sorts only the buckets able to hold the best scale."""
+
+    @pytest.mark.parametrize("block", [quantizer.BUCKET_BLOCK, 2])
+    @pytest.mark.parametrize("k, max_n", [(2, 6), (3, 4), (4, 3)])
+    def test_matches_exhaustive_on_small_vectors(self, monkeypatch, block, k, max_n):
+        monkeypatch.setattr(quantizer, "BUCKET_SWEEP_MIN", 1)
+        monkeypatch.setattr(quantizer, "BUCKET_BLOCK", block)
+        rng = np.random.default_rng(40 + k)
+        grid = QuantGrid(k)
+        for _ in range(40):
+            n = int(rng.integers(1, max_n + 1))
+            w = rng.normal(scale=rng.uniform(0.1, 3.0), size=n)
+            w[rng.random(n) < 0.2] = 0.0
+            d = rng.uniform(0.1, 5.0, size=n)
+            if not w.any():
+                continue
+            code = project(w, d, grid)
+            obj = weighted_objective(w, d, code.alpha, code.beta)
+            ref, _, _ = exhaustive_project(w, d, grid)
+            assert obj <= ref + 1e-12 * max(1.0, ref)
+
+    @pytest.mark.parametrize("block", [quantizer.BUCKET_BLOCK, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_candidates_match_the_whole_sort_on_short_vectors(self, monkeypatch, block, k):
+        # 100-400 weights: the candidates are few enough to be sorted on
+        # their own in most cases, and every block shape is taken
+        rng = np.random.default_rng(150 + k)   # its cases include peaks inside a bucket
+        grid = QuantGrid(k)
+        calls = []
+        sums = quantizer._candidate_sums
+
+        def recording(*args):
+            out = sums(*args)
+            calls.append(out is not None)
+            return out
+
+        for case in range(80):
+            m = int(rng.integers(100, 401))
+            w = _weights(WEIGHT_KINDS[int(rng.integers(len(WEIGHT_KINDS)))], m, rng)
+            # d over twelve decades puts sharp peaks inside buckets
+            d = 10.0 ** rng.uniform(-6.0, 6.0, size=m) if case % 2 else rng.uniform(0.1, 5.0, size=m)
+            ref = _whole_sort_code(monkeypatch, w, d, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(quantizer, "BUCKET_SWEEP_MIN", 1)
+                patch.setattr(quantizer, "BUCKET_BLOCK", block)
+                patch.setattr(quantizer, "_candidate_sums", recording)
+                code = project(w, d, grid)
+            assert _same_code(code, ref)
+        assert sum(calls) >= 40
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS + ["wide-d"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bit_for_bit_with_the_whole_sort_on_a_layer(self, monkeypatch, kind, k):
+        rng = np.random.default_rng(60 + k)
+        m = 200_000
+        if kind == "wide-d":                        # d over twelve decades
+            w = rng.normal(size=m)
+            d = 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+        else:
+            w = _weights(kind, m, rng)
+            d = rng.uniform(0.1, 5.0, size=m)
+        grid = QuantGrid(k)
+        assert _same_code(project(w, d, grid), _whole_sort_code(monkeypatch, w, d, grid))
+
+    def test_few_breakpoints_reach_a_sort(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        m = 200_000
+        w, d = rng.normal(size=m), rng.uniform(0.1, 5.0, size=m)
+        sorted_sizes = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        project(w, d, QuantGrid(2))
+        assert sorted_sizes and sum(sorted_sizes) < m // 8

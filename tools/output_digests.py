@@ -56,6 +56,8 @@ RUNS = [
                      "--beta2", "0.9", "--eps", "1e-6", "--steps", "60"]),
     ("mnist-blaq-k1", ["train-mnist", "--optimizer", "blaq", "--bitwidth", "1", *MNIST]),
     ("mnist-laq-k2", ["train-mnist", "--optimizer", "laq", "--bitwidth", "2", *MNIST]),
+    # the multi-level bucket layout of the breakpoint sweep on a large layer
+    ("mnist-laq-k3", ["train-mnist", "--optimizer", "laq", "--bitwidth", "3", *MNIST]),
     # multi-bit nearest_level, the trial metric and both mixes on a large layer
     ("mnist-blaq-k2", ["train-mnist", "--optimizer", "blaq", "--bitwidth", "2", *MNIST]),
     ("mnist-fp", ["train-mnist", "--optimizer", "full-precision", *MNIST]),
