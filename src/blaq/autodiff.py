@@ -162,19 +162,10 @@ class Graph:
         if self._loss_uid is None:
             raise StateError("no loss node marked")
         inputs = inputs or {}
-        bound = set()
         for name, values in inputs.items():
-            if name not in self._placeholders:
-                raise ValueError(f"unknown input {name!r}")
-            arr = np.asarray(values, dtype=np.float64)
-            node = self.nodes[self._placeholders[name]]
-            if not _shapes_match(node.shape, arr.shape):
-                raise ValueError(f"input {name!r} has shape {arr.shape}, expected {node.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"input {name!r} must be finite")
+            node, arr = self._checked_input(name, values)
             node.value = arr
-            bound.add(name)
-        missing = set(self._placeholders) - bound
+        missing = set(self._placeholders) - set(inputs)
         if missing:
             raise ValueError(f"unbound inputs: {sorted(missing)}")
 
@@ -187,6 +178,43 @@ class Graph:
                 raise NumericError(f"non-finite value at node {node.uid} ({node.kind})")
         self._forward_done = True
         return float(self.nodes[self._loss_uid].value)
+
+    def evaluate(self, target, inputs):
+        """The value of node `target` for `inputs`, without a full forward pass.
+
+        Runs only the ops `target` depends on, with the rules and the
+        per-node finiteness check of `forward`, so the value matches a
+        forward pass bit for bit.  Each intermediate array is dropped once
+        its last consumer has run, and no node keeps a value: `backward`
+        still sees the last `forward`.  Only the placeholders `target`
+        depends on must be bound.
+        """
+        values = {}
+        for name, given in inputs.items():
+            node, arr = self._checked_input(name, given)
+            values[node.uid] = arr
+        needed = {target.uid}
+        for uid in range(target.uid, -1, -1):
+            if uid in needed:
+                needed.update(self.nodes[uid].inputs)
+        order = sorted(needed)
+        last_use = {i: uid for uid in order for i in self.nodes[uid].inputs}
+        for uid in order:
+            node = self.nodes[uid]
+            if node.kind == "placeholder":
+                if uid not in values:
+                    raise ValueError(f"unbound inputs: {[node.aux['name']]}")
+            elif node.kind in ("parameter", "constant"):
+                values[uid] = node.value
+            else:
+                value = _FORWARD[node.kind](node, *(values[i] for i in node.inputs))
+                for i in node.inputs:
+                    if last_use[i] == uid:
+                        values.pop(i, None)
+                if not np.isfinite(value).all():
+                    raise NumericError(f"non-finite value at node {uid} ({node.kind})")
+                values[uid] = value
+        return values[target.uid]
 
     def backward(self):
         """Reverse pass; returns {parameter name: gradient array}."""
@@ -230,6 +258,18 @@ class Graph:
 
     def get_parameter(self, name):
         return self.nodes[self._params[name]].value.copy()
+
+    def _checked_input(self, name, values):
+        """A placeholder's node and `values` as a checked float64 array."""
+        if name not in self._placeholders:
+            raise ValueError(f"unknown input {name!r}")
+        arr = np.asarray(values, dtype=np.float64)
+        node = self.nodes[self._placeholders[name]]
+        if not _shapes_match(node.shape, arr.shape):
+            raise ValueError(f"input {name!r} has shape {arr.shape}, expected {node.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"input {name!r} must be finite")
+        return node, arr
 
     def _new(self, kind, input_nodes, shape, aux=None):
         needs_grad = kind == "parameter" or any(n.needs_grad for n in input_nodes)

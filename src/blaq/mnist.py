@@ -1,10 +1,11 @@
 """IDX-format dataset loading for the MNIST experiments.
 
-Reads the four classic big-endian IDX files (optionally gzipped),
-validates magic numbers, dimensions, and label ranges, and normalizes
-images to [0, 1] float64.  An optional fetch step downloads the files
-from a caller-supplied mirror; nothing here hard-codes a network
-dependency.
+Reads the four classic big-endian IDX files (optionally gzipped) and
+validates magic numbers, dimensions, split sizes and label ranges.
+Pixels stay the uint8 bytes of the files; `pixels_to_float` scales the
+rows a minibatch or an evaluation chunk needs to float64 in [0, 1].  An
+optional fetch step downloads the files from a caller-supplied mirror;
+nothing here hard-codes a network dependency.
 """
 
 from __future__ import annotations
@@ -33,12 +34,27 @@ DATA_DIR_ENV = "BLAQ_DATA_DIR"
 
 @dataclass
 class MnistDataset:
-    """Flattened images in [0,1] and integer labels for both splits."""
+    """Flattened uint8 pixel rows and integer labels for both splits.
 
-    train_images: np.ndarray   # (n_train, 784) float64
+    The pixels stay bytes: real MNIST holds 55 MB of them, against
+    439 MB as float64.  `pixels_to_float` converts the rows in use.
+    """
+
+    train_images: np.ndarray   # (n_train, 784) uint8
     train_labels: np.ndarray   # (n_train,) int64
-    test_images: np.ndarray
+    test_images: np.ndarray    # (n_test, 784) uint8
     test_labels: np.ndarray
+
+
+def pixels_to_float(pixels):
+    """uint8 pixel rows as float64 in [0, 1].
+
+    Bit for bit `pixels / 255.0`, dividing in place so that only one
+    float64 array of the rows' size is made.
+    """
+    out = pixels.astype(np.float64)
+    out /= 255.0
+    return out
 
 
 def _read_bytes(path):
@@ -86,9 +102,10 @@ def read_idx_labels(path):
 def load_mnist(data_dir, image_size=28):
     """Load the four split files from a directory.
 
-    Images must be image_size x image_size; labels and images of each
-    split must agree in count.  Returns flattened float64 images in
-    [0, 1].
+    Images must be image_size x image_size; each split must hold at
+    least one image, and as many labels as images.  Returns the images
+    as flattened uint8 rows, the bytes of the files (see
+    `pixels_to_float`).
     """
     paths = {name: os.path.join(data_dir, name) for name in FILE_NAMES}
     train_x = read_idx_images(paths[TRAIN_IMAGES])
@@ -98,13 +115,15 @@ def load_mnist(data_dir, image_size=28):
     for name, arr in ((TRAIN_IMAGES, train_x), (TEST_IMAGES, test_x)):
         if arr.shape[1:] != (image_size, image_size):
             raise FormatError(f"{paths[name]}: image dims {arr.shape[1:]} != ({image_size}, {image_size})")
+        if len(arr) == 0:
+            raise FormatError(f"{paths[name]}: the split holds no images")
     if len(train_x) != len(train_y):
         raise FormatError(f"{data_dir}: train split count mismatch {len(train_x)} vs {len(train_y)}")
     if len(test_x) != len(test_y):
         raise FormatError(f"{data_dir}: test split count mismatch {len(test_x)} vs {len(test_y)}")
 
     def flat(x):
-        return x.reshape(len(x), -1).astype(np.float64) / 255.0
+        return x.reshape(len(x), image_size * image_size)
 
     return MnistDataset(flat(train_x), train_y.astype(np.int64),
                         flat(test_x), test_y.astype(np.int64))

@@ -5,6 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Graph
+from .mnist import pixels_to_float
+
+# Rows per block and per chunk of an accuracy pass.  Each full block is
+# evaluated in chunks; the rows after the last full block go as one call.
+# That way every row meets the BLAS kernel a whole-block pass gave it (a
+# single trailing row goes through gemv, not gemm) and its logits keep
+# their bits, while a full block holds one chunk's activations at a time.
+EVAL_ROWS = (1000, 200)
+
+
+def eval_chunks(n):
+    """(start, stop) of each chunk of an accuracy pass over n rows."""
+    block, chunk = EVAL_ROWS
+    full = n - n % block
+    for start in range(0, full, chunk):
+        yield start, start + chunk
+    if full < n:
+        yield full, n
 
 
 class ToyObjective:
@@ -85,7 +103,8 @@ class MlpClassifier:
 
     Weight matrices are the quantization targets; biases stay
     full-precision.  `eval_batch` gives loss and per-parameter gradients
-    for one (x, y) minibatch; `logits_for` reads raw scores for accuracy.
+    for one (x, y) minibatch; `logits_for` and `accuracy` score uint8
+    pixel rows chunk by chunk (`eval_chunks`), computing the logits only.
     """
 
     def __init__(self, layer_sizes, seed=0):
@@ -127,14 +146,13 @@ class MlpClassifier:
         bg = [grads[n] for n in self.bias_names]
         return loss, wg, bg
 
-    def logits_for(self, x, weights, biases):
+    def logits_for(self, pixels, weights, biases):
+        """Logits of uint8 pixel rows, evaluated one chunk at a time."""
         self.set_weights(weights, biases)
-        self.graph.forward({"x": x, "y": np.zeros(len(x))})
-        return self.logits_node.value.copy()
+        return np.concatenate([
+            self.graph.evaluate(self.logits_node, {"x": pixels_to_float(pixels[start:stop])})
+            for start, stop in eval_chunks(len(pixels))])
 
-    def accuracy(self, x, y, weights, biases, batch=1000):
-        hits = 0
-        for start in range(0, len(x), batch):
-            logits = self.logits_for(x[start:start + batch], weights, biases)
-            hits += int(np.sum(np.argmax(logits, axis=1) == y[start:start + batch]))
-        return hits / len(x)
+    def accuracy(self, pixels, labels, weights, biases):
+        hits = np.argmax(self.logits_for(pixels, weights, biases), axis=1) == labels
+        return int(np.sum(hits)) / len(pixels)

@@ -18,6 +18,7 @@ import numpy as np
 from .curvature import CurvatureState
 from .errors import ConfigError
 from .metrics import TrajectoryRecord, sample_coordinates
+from .mnist import pixels_to_float
 from .models import MlpClassifier
 from .optimizers import FullPrecisionState, LayerQuantState, step
 from .quantizer import QuantGrid
@@ -102,7 +103,7 @@ def train_classifier(dataset, cfg, schedule):
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            x, y = dataset.train_images[idx], dataset.train_labels[idx]
+            x, y = pixels_to_float(dataset.train_images[idx]), dataset.train_labels[idx]
             losses = []
 
             def grad_at(points):

@@ -11,6 +11,12 @@ from blaq.models import MlpClassifier, abs_power_objective, fig1_quadratic
 from helpers import finite_difference_grad, grads_close, same_bits
 
 
+def mlp_batch(seed):
+    rng = np.random.default_rng(seed)
+    model = MlpClassifier([12, 9, 7, 5], seed=seed)
+    return model, rng.normal(size=(6, 12)), rng.integers(0, 5, size=6)
+
+
 def scalar_square_graph(value):
     g = Graph()
     w = g.parameter("w", [value])
@@ -113,15 +119,9 @@ class TestBackward:
 class TestGradientPruning:
     """Partials are formed only toward inputs that lead to a parameter."""
 
-    @staticmethod
-    def _mlp_batch(seed):
-        rng = np.random.default_rng(seed)
-        model = MlpClassifier([12, 9, 7, 5], seed=seed)
-        return model, rng.normal(size=(6, 12)), rng.integers(0, 5, size=6)
-
     def test_mlp_gradients_match_the_unpruned_pass_bit_for_bit(self):
         for seed in range(5):
-            model, x, y = self._mlp_batch(seed)
+            model, x, y = mlp_batch(seed)
             g = model.graph
             g.forward({"x": x, "y": y})
             pruned = g.backward()
@@ -134,7 +134,7 @@ class TestGradientPruning:
                 assert same_bits(pruned[name], full[name])
 
     def test_no_partial_for_placeholders_or_constants(self):
-        model, x, y = self._mlp_batch(7)
+        model, x, y = mlp_batch(7)
         g = model.graph
         g.forward({"x": x, "y": y})
         g.backward()
@@ -161,6 +161,52 @@ class TestGradientPruning:
         assert not (x.needs_grad or c.needs_grad or const_only.needs_grad)
         assert w.needs_grad and with_param.needs_grad
         assert g.add(const_only, with_param).needs_grad
+
+
+class TestEvaluate:
+    """`Graph.evaluate`: one node's value, the forward pass left alone."""
+
+    def test_every_node_matches_the_forward_pass_bit_for_bit(self):
+        model, x, y = mlp_batch(0)
+        g = model.graph
+        g.forward({"x": x, "y": y})
+        for node in g.nodes:
+            if node.kind == "placeholder":
+                continue
+            assert same_bits(g.evaluate(node, {"x": x, "y": y}), node.value)
+
+    def test_logits_need_only_x_and_leave_the_cached_pass_alone(self):
+        model, x, y = mlp_batch(1)
+        g = model.graph
+        g.forward({"x": x, "y": y})
+        cached = [n.value for n in g.nodes]
+        grads = g.backward()
+        logits = g.evaluate(model.logits_node, {"x": x[:2]})
+        assert logits.shape == (2, 5)
+        assert all(n.value is v for n, v in zip(g.nodes, cached))
+        again = g.backward()
+        assert all(same_bits(grads[name], again[name]) for name in grads)
+
+    def test_unbound_and_unknown_inputs_rejected(self):
+        model, x, _ = mlp_batch(2)
+        with pytest.raises(ValueError, match="unbound inputs: \\['x'\\]"):
+            model.graph.evaluate(model.logits_node, {})
+        with pytest.raises(ValueError, match="unknown input"):
+            model.graph.evaluate(model.logits_node, {"x": x, "bogus": x})
+        with pytest.raises(ValueError, match="must be finite"):
+            model.graph.evaluate(model.logits_node, {"x": np.full((1, 12), np.nan)})
+
+    def test_overflow_names_the_node_as_forward_does(self):
+        g = Graph()
+        x = g.parameter("x", [1e100])
+        sq = g.square(g.square(x))
+        g.mark_loss(g.reduce_sum(sq))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError) as forward:
+                g.forward({})
+            with pytest.raises(NumericError) as evaluated:
+                g.evaluate(sq, {})
+        assert str(evaluated.value) == str(forward.value) == "non-finite value at node 2 (square)"
 
 
 class TestErrors:

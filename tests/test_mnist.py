@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 import blaq
+from blaq.cli import main as cli_main
 from blaq.errors import FormatError
 from blaq.mnist import (FILE_NAMES, IMAGE_MAGIC, LABEL_MAGIC, dataset_present,
-                        load_mnist, make_synthetic_fixture, read_idx_images,
-                        read_idx_labels, write_idx_images, write_idx_labels)
+                        load_mnist, make_synthetic_fixture, pixels_to_float,
+                        read_idx_images, read_idx_labels, write_idx_images,
+                        write_idx_labels)
+
+from helpers import same_bits
 
 
 @pytest.fixture
@@ -90,14 +94,24 @@ class TestLoadDataset:
         assert ds.train_images.shape == (100, 784)
         assert ds.test_images.shape == (50, 784)
         assert ds.train_labels.shape == (100,)
-        assert ds.train_images.dtype == np.float64
-        assert ds.train_images.min() >= 0.0 and ds.train_images.max() <= 1.0
         assert set(np.unique(ds.train_labels)) <= set(range(10))
 
-    def test_normalization_is_byte_over_255(self, fixture_dir):
-        raw = read_idx_images(os.path.join(fixture_dir, FILE_NAMES[0]))
+    def test_pixels_stay_the_bytes_of_the_files(self, fixture_dir):
         ds = load_mnist(fixture_dir)
-        assert np.array_equal(ds.train_images[0], raw[0].reshape(-1) / 255.0)
+        for images, name in ((ds.train_images, FILE_NAMES[0]), (ds.test_images, FILE_NAMES[2])):
+            raw = read_idx_images(os.path.join(fixture_dir, name))
+            assert images.dtype == np.uint8
+            assert np.array_equal(images, raw.reshape(len(raw), 28 * 28))
+
+    def test_normalization_is_byte_over_255(self, fixture_dir):
+        raw = read_idx_images(os.path.join(fixture_dir, FILE_NAMES[0])).reshape(100, -1)
+        every_byte = np.arange(256, dtype=np.uint8).reshape(2, 128)
+        for pixels in (raw, raw[[3, 0, 7]], every_byte):
+            out = pixels_to_float(pixels)
+            assert out.dtype == np.float64
+            assert same_bits(out, pixels / 255.0)
+        assert pixels_to_float(every_byte).min() == 0.0
+        assert pixels_to_float(every_byte).max() == 1.0
 
     def test_count_mismatch_rejected(self, fixture_dir):
         write_idx_labels(os.path.join(fixture_dir, FILE_NAMES[1]),
@@ -110,6 +124,17 @@ class TestLoadDataset:
                          np.zeros((100, 14, 14), dtype=np.uint8))
         with pytest.raises(FormatError):
             load_mnist(fixture_dir)
+
+    @pytest.mark.parametrize("empty", ["n_train", "n_test"])
+    def test_empty_split_is_a_data_error(self, tmp_path, capsys, empty):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"), **{empty: 0})
+        with pytest.raises(FormatError, match="holds no images"):
+            load_mnist(data_dir)
+        code = cli_main(["train-mnist", "--epochs", "1", "--data-dir", data_dir,
+                         "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        name = FILE_NAMES[0] if empty == "n_train" else FILE_NAMES[2]
+        assert capsys.readouterr().err.startswith(f"error: {os.path.join(data_dir, name)}")
 
     def test_dataset_present(self, fixture_dir, tmp_path):
         assert dataset_present(fixture_dir)

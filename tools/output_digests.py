@@ -27,12 +27,19 @@ import tempfile
 
 DEFAULT_ROOT = os.path.join(tempfile.gettempdir(), "blaq-output-digests")
 
-MNIST_FIXTURE = {"n_train": 640, "n_test": 1000, "seed": 1}
+# Synthetic MNIST fixtures by name.  "ragged" leaves a short final
+# minibatch (300 = 2 * 128 + 44 training images) and a short final
+# accuracy block (1,003 = 1,000 + 3 test images).
+FIXTURES = {
+    "data": {"n_train": 640, "n_test": 1000, "seed": 1},
+    "ragged": {"n_train": 300, "n_test": 1003, "seed": 2},
+}
 SWEEP = ["--sweep-bitwidths", "[1,2,4]", "--eta-schedule", "[[0,0.2]]",
          "--beta2", "0.9", "--steps", "600", "--window", "100"]
 MNIST = ["--epochs", "4", "--data-dir", "{data}"]
 
-# (run name, CLI arguments without --output-dir); "{data}" is the fixture.
+# (run name, CLI arguments without --output-dir); "{data}" and "{ragged}"
+# are the fixtures' directories.
 RUNS = [
     ("toy2d-fp", ["toy2d", "--optimizer", "full-precision"]),
     ("toy2d-laq-k1", ["toy2d", "--optimizer", "laq"]),
@@ -66,6 +73,10 @@ RUNS = [
                     "--eps", "1e-6", "--hidden", "[32,16]", "--track-coords", "5",
                     "--batch-size", "64", "--seed", "3", "--epochs", "2",
                     "--data-dir", "{data}"]),
+    ("mnist-ragged-blaq-k1", ["train-mnist", "--optimizer", "blaq", "--bitwidth", "1",
+                              "--epochs", "3", "--data-dir", "{ragged}"]),
+    ("mnist-ragged-laq-k2", ["train-mnist", "--optimizer", "laq", "--bitwidth", "2",
+                             "--epochs", "3", "--data-dir", "{ragged}"]),
 ]
 
 
@@ -88,13 +99,14 @@ def sha256(path):
 
 def digest_lines(blaq, root):
     """Run every call of RUNS under root; yield one line per output file."""
-    data = os.path.join(root, "data")
-    shutil.rmtree(data, ignore_errors=True)
-    blaq.mnist.make_synthetic_fixture(data, **MNIST_FIXTURE)
+    dirs = {name: os.path.join(root, name) for name in FIXTURES}
+    for name, spec in FIXTURES.items():
+        shutil.rmtree(dirs[name], ignore_errors=True)
+        blaq.mnist.make_synthetic_fixture(dirs[name], **spec)
     for name, argv in RUNS:
         out = os.path.join(root, name)
         shutil.rmtree(out, ignore_errors=True)
-        argv = [a.format(data=data) for a in argv] + ["--output-dir", out]
+        argv = [a.format(**dirs) for a in argv] + ["--output-dir", out]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = blaq.cli.main(argv)
