@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, StateError, UnsupportedOpError
+from .errors import NumericError, StateError
 
 
 def _shapes_match(expected, actual):
@@ -231,8 +231,6 @@ class Graph:
             self.gradients[node.uid] = node.grad
             if node.kind in ("placeholder", "parameter", "constant"):
                 continue
-            if node.kind not in _BACKWARD:
-                raise UnsupportedOpError(f"no adjoint registered for {node.kind!r}")
             args = [self.nodes[i].value for i in node.inputs]
             for uid, partial in zip(node.inputs, _BACKWARD[node.kind]):
                 child = self.nodes[uid]

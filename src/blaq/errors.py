@@ -13,10 +13,6 @@ class StateError(BlaqError):
     """An operation was called in an invalid order (e.g. backward before forward)."""
 
 
-class UnsupportedOpError(BlaqError):
-    """A graph node kind has no registered forward/adjoint rule."""
-
-
 class FormatError(BlaqError):
     """A data file failed structural validation."""
 

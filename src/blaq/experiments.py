@@ -20,7 +20,7 @@ from .errors import CheckFailed, ConfigError
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
 from .models import TOY2D_CENTER, TOY2D_COEFFS, abs_power_objective, fig1_quadratic
-from .optimizers import FullPrecisionState, LayerQuantState, step
+from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid
 from .theory import DiagonalQuadratic, quantized_loss_floor, run_suite
 from .training import train_classifier
@@ -55,25 +55,17 @@ def mnist_default_schedule(steps_per_epoch):
 
 # ---- serialization helpers ----
 
-def _native(obj):
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):    # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    return obj
+def _numpy_to_json(obj):
+    """numpy scalars and arrays as Python numbers and lists; `json.dump`
+    calls this only for objects it cannot encode itself."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(_native(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
@@ -109,32 +101,33 @@ def _out_dir(cfg):
 def run_toy_objective(objective, cfg, schedule, steps):
     """Drive one optimizer on a toy objective, recording every step."""
     w0 = np.asarray(objective.graph.get_parameter(objective.param_name)).reshape(-1)
-    curv = CurvatureState(len(w0), schedule, cfg.beta2, cfg.eps)
-    if cfg.optimizer == "full-precision":
-        state = FullPrecisionState(w=w0.copy(), curvature=curv)
-    else:
-        state = LayerQuantState.initialize(w0, QuantGrid(cfg.bitwidth), curv)
-
+    grid = None if cfg.optimizer == "full-precision" else QuantGrid(cfg.bitwidth)
+    state = new_layer(w0, grid, CurvatureState(len(w0), schedule, cfg.beta2, cfg.eps))
     record = TrajectoryRecord()
 
-    def snapshot(step_idx, prev_w):
-        w = state.w.copy()
-        levels = state.code.beta.copy() if cfg.optimizer != "full-precision" else w.copy()
-        loss = objective.loss_at(state.w_hat())
-        record.append(step_idx, loss, w, levels, w - prev_w)
-        return w
+    def observe(t):
+        levels = state.w if grid is None else state.code.beta
+        prev_w = record.w[-1] if t else w0
+        record.append(t, objective.loss_at(state.w_hat()), state.w, levels, state.w - prev_w)
 
-    prev = snapshot(0, w0)
-    for t in range(1, steps + 1):
-        step(cfg.optimizer, state, objective.grad_at, cfg.a)
-        prev = snapshot(t, prev)
+    run_steps(cfg.optimizer, state, objective.grad_at, cfg.a, steps, observe)
     return state, record
 
 
-def _toy_metrics(cfg, state, record, window, floor_target):
-    n = len(record.w[0])
-    window = min(window, len(record))
-    out = {
+def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objective,
+             extra_metrics):
+    """The body of a toy run: resolve the unset steps, schedule and omega0
+    from the defaults, drive the optimizer on `make_objective(omega0)`,
+    summarize the trajectory plus the entries of `extra_metrics(state,
+    record)`, and write config.json, trajectory.csv and metrics.json."""
+    steps = cfg.steps or default_steps
+    schedule = cfg.schedule(default_schedule)
+    omega0 = cfg.omega0 or default_omega0
+    state, record = run_toy_objective(make_objective(omega0), cfg, schedule, steps)
+
+    n = len(omega0)
+    window = min(cfg.window, len(record))
+    metrics = {
         "window": window,
         "final_w": state.w,
         "final_loss": record.losses[-1],
@@ -144,35 +137,36 @@ def _toy_metrics(cfg, state, record, window, floor_target):
         "direction_change_count": direction_change_count(record, window),
     }
     if cfg.optimizer != "full-precision":
-        out["final_alpha"] = state.code.alpha
-        out["final_beta"] = state.code.beta
-    if floor_target is not None:
-        out["loss_floor_target"] = floor_target
-        out["steps_to_floor_tol"] = steps_to_tolerance(record, floor_target, FLOOR_TOL)
-    return out
-
-
-def run_toy2d(cfg):
-    if cfg.sweep_bitwidths:
-        return _run_toy2d_sweep(cfg)
-    steps = cfg.steps or TOY2D_STEPS
-    schedule = cfg.schedule(toy2d_default_schedule())
-    omega0 = cfg.omega0 or [1.0, 1.0]
-    if len(omega0) != 2:
-        raise ConfigError(f"toy2d needs a 2-D omega0, got {omega0}")
-    objective = fig1_quadratic(omega0)
-    state, record = run_toy_objective(objective, cfg, schedule, steps)
-
-    floor = 0.0 if cfg.optimizer == "full-precision" else toy2d_quantized_floor_loss(cfg.bitwidth)
-    metrics = _toy_metrics(cfg, state, record, cfg.window, floor)
+        metrics["final_alpha"] = state.code.alpha
+        metrics["final_beta"] = state.code.beta
+    metrics.update(extra_metrics(state, record))
 
     out = _out_dir(cfg)
     write_json(os.path.join(out, "config.json"),
                cfg.echo(resolved_steps=steps, resolved_omega0=list(omega0),
                         resolved_eta_schedule=schedule.as_pairs()))
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), record, list(range(2)))
+    write_trajectory_csv(os.path.join(out, "trajectory.csv"), record, list(range(n)))
     write_json(os.path.join(out, "metrics.json"), metrics)
     return {"state": state, "record": record, "metrics": metrics, "out_dir": out}
+
+
+def run_toy2d(cfg):
+    if cfg.sweep_bitwidths:
+        return _run_toy2d_sweep(cfg)
+
+    def objective(omega0):
+        if len(omega0) != 2:
+            raise ConfigError(f"toy2d needs a 2-D omega0, got {omega0}")
+        return fig1_quadratic(omega0)
+
+    def floor_metrics(state, record):
+        floor = (0.0 if cfg.optimizer == "full-precision"
+                 else toy2d_quantized_floor_loss(cfg.bitwidth))
+        return {"loss_floor_target": floor,
+                "steps_to_floor_tol": steps_to_tolerance(record, floor, FLOOR_TOL)}
+
+    return _run_toy(cfg, TOY2D_STEPS, toy2d_default_schedule(), [1.0, 1.0], objective,
+                    floor_metrics)
 
 
 def toy2d_quantized_floor_loss(bitwidth):
@@ -234,22 +228,9 @@ def _run_toy2d_sweep(cfg):
 
 
 def run_toy_pow32(cfg):
-    steps = cfg.steps or POW32_STEPS
-    schedule = cfg.schedule(pow32_default_schedule())
-    omega0 = cfg.omega0 or [0.5]
-    objective = abs_power_objective(c=cfg.c, exponent=1.5, w0=omega0)
-    state, record = run_toy_objective(objective, cfg, schedule, steps)
-    metrics = _toy_metrics(cfg, state, record, cfg.window, None)
-    metrics["final_abs_w"] = np.abs(state.w)
-
-    out = _out_dir(cfg)
-    write_json(os.path.join(out, "config.json"),
-               cfg.echo(resolved_steps=steps, resolved_omega0=list(omega0),
-                        resolved_eta_schedule=schedule.as_pairs()))
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), record,
-                         list(range(len(omega0))))
-    write_json(os.path.join(out, "metrics.json"), metrics)
-    return {"state": state, "record": record, "metrics": metrics, "out_dir": out}
+    return _run_toy(cfg, POW32_STEPS, pow32_default_schedule(), [0.5],
+                    lambda omega0: abs_power_objective(c=cfg.c, exponent=1.5, w0=omega0),
+                    lambda state, record: {"final_abs_w": np.abs(state.w)})
 
 
 def run_train_mnist(cfg, dataset=None):

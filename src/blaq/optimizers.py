@@ -19,6 +19,10 @@ of a network take the same step.
   layers that all have the identity projection.
 * `step(kind, states, grad_at, a)` — one step of the rule named by the
   optimizer config key.
+* `new_layer(w0, grid, curvature)` — the one layer constructor: a layer
+  on `grid`, or a full-precision layer when `grid` is None.
+* `run_steps(kind, states, grad_at, a, steps, observe)` — the one step
+  driver, with a per-step observer.
 
 The asymmetry of base points (quantized for LAQ, full-precision for the
 backtracking variant) is deliberate and load-bearing.
@@ -97,6 +101,15 @@ class FullPrecisionState:
 
     def place(self, w, d):
         self.w = w
+
+
+def new_layer(w0, grid, curvature):
+    """A layer state starting from `w0`: `LayerQuantState.initialize` on
+    `grid`, or with `grid` None a `FullPrecisionState` holding its own copy
+    of `w0`."""
+    if grid is None:
+        return FullPrecisionState(w=np.array(w0, dtype=np.float64), curvature=curvature)
+    return LayerQuantState.initialize(w0, grid, curvature)
 
 
 def _as_layers(states, grad_at=None):
@@ -182,3 +195,13 @@ def step(kind, states, grad_at, a):
     except NumericError as e:
         raise NumericError(f"{e} at step {number}") from e
     raise ValueError(f"unknown optimizer {kind!r}")
+
+
+def run_steps(kind, states, grad_at, a, steps, observe):
+    """Call `observe(0)`, then for t = 1..steps take one `step` and call
+    `observe(t)`; returns the states."""
+    observe(0)
+    for t in range(1, steps + 1):
+        step(kind, states, grad_at, a)
+        observe(t)
+    return states

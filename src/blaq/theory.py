@@ -16,7 +16,7 @@ import numpy as np
 
 from .curvature import CurvatureState, LrSchedule
 from .errors import ConfigError
-from .optimizers import LayerQuantState, step
+from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid, project
 
 # Relative slack for the trajectory bound check; float noise only, the
@@ -111,11 +111,9 @@ def _run_quantized(objective, kind, a, schedule, w0, cfg, steps):
     config; returns (final state, fp-iterate trace)."""
     w0 = np.asarray(w0, dtype=np.float64)
     curv = CurvatureState(len(w0), schedule, beta2=cfg.beta2, eps=cfg.eps)
-    state = LayerQuantState.initialize(w0, QuantGrid(cfg.bitwidth), curv)
-    trace = [state.w.copy()]
-    for _ in range(steps):
-        step(kind, state, objective.grad, a)
-        trace.append(state.w.copy())
+    state = new_layer(w0, QuantGrid(cfg.bitwidth), curv)
+    trace = []
+    run_steps(kind, state, objective.grad, a, steps, lambda t: trace.append(state.w.copy()))
     return state, np.array(trace)
 
 

@@ -1,12 +1,13 @@
 """Minibatch training loop for the quantized classifier.
 
-Each weight matrix is a `LayerQuantState` (a `FullPrecisionState` for
-the full-precision baseline) and each bias a `FullPrecisionState`; one
-call of `optimizers.step` per minibatch moves them all, with a joint
-gradient from one network evaluation.  The loss-aware step therefore
-evaluates the network once per minibatch and the backtracking step
-exactly twice (current point, then every layer's trial point, biases
-included).  The trainer does no update arithmetic of its own.
+Each weight matrix is a layer on the config's grid (full-precision for
+the full-precision baseline) and each bias a full-precision layer, all
+built by `optimizers.new_layer`; one call of `optimizers.step` per
+minibatch moves them all, with a joint gradient from one network
+evaluation.  The loss-aware step therefore evaluates the network once per
+minibatch and the backtracking step exactly twice (current point, then
+every layer's trial point, biases included).  The trainer does no update
+arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import ConfigError
 from .metrics import TrajectoryRecord, sample_coordinates
 from .mnist import pixels_to_float
 from .models import MlpClassifier
-from .optimizers import FullPrecisionState, LayerQuantState, step
+from .optimizers import new_layer, step
 from .quantizer import QuantGrid
 
 # Largest weight matrix, fan_in x fan_out, the trainer builds.
@@ -55,18 +56,15 @@ def train_classifier(dataset, cfg, schedule):
     init_seed, shuffle_seed, track_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
 
     model = MlpClassifier(sizes, seed=init_seed)
-    grid = QuantGrid(cfg.bitwidth)
     quantize = cfg.optimizer in ("laq", "blaq")
 
-    def initial_state(name, quantized):
+    def initial_state(name, grid):
         w0 = model.graph.get_parameter(name).reshape(-1)
-        curvature = CurvatureState(w0.size, schedule, cfg.beta2, cfg.eps)
-        if quantized:
-            return LayerQuantState.initialize(w0, grid, curvature)
-        return FullPrecisionState(w=w0.copy(), curvature=curvature)
+        return new_layer(w0, grid, CurvatureState(w0.size, schedule, cfg.beta2, cfg.eps))
 
-    weights = [initial_state(name, quantize) for name in model.weight_names]
-    states = weights + [initial_state(name, False) for name in model.bias_names]
+    grid = QuantGrid(cfg.bitwidth) if quantize else None
+    weights = [initial_state(name, grid) for name in model.weight_names]
+    states = weights + [initial_state(name, None) for name in model.bias_names]
     n_weights = len(weights)
 
     offsets = np.cumsum([0] + [s.w.size for s in weights])
@@ -84,9 +82,8 @@ def train_classifier(dataset, cfg, schedule):
                         dtype=np.float64)
 
     def split(points):
-        """Weight matrices and bias vectors of a joint point list."""
-        return ([p.reshape(shape) for p, shape in zip(points, model.weight_shapes)],
-                points[n_weights:])
+        """Weight and bias vectors of a joint point list."""
+        return points[:n_weights], points[n_weights:]
 
     def test_accuracy():
         return model.accuracy(dataset.test_images, dataset.test_labels,

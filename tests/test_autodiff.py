@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blaq.autodiff import Graph
+from blaq.autodiff import _BACKWARD, _FORWARD, Graph
 from blaq.errors import NumericError, StateError
 from blaq.models import MlpClassifier, abs_power_objective, fig1_quadratic
 from helpers import finite_difference_grad, grads_close, same_bits
@@ -207,6 +207,10 @@ class TestEvaluate:
             with pytest.raises(NumericError) as evaluated:
                 g.evaluate(sq, {})
         assert str(evaluated.value) == str(forward.value) == "non-finite value at node 2 (square)"
+
+
+def test_every_forward_rule_has_an_adjoint():
+    assert sorted(_FORWARD) == sorted(_BACKWARD)
 
 
 class TestErrors:

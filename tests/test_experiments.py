@@ -14,7 +14,7 @@ from blaq.config import config_from_dict, load_config
 from blaq.errors import ConfigError
 from blaq.experiments import (TRAJECTORY_HEADER, TRAINING_HEADER, run,
                               run_toy2d, run_toy_pow32, run_train_mnist,
-                              toy2d_quantized_floor_loss)
+                              toy2d_quantized_floor_loss, write_json)
 from blaq.mnist import make_synthetic_fixture
 
 
@@ -139,6 +139,32 @@ class TestToyRunners:
             metrics = run_toy2d(cfg)["metrics"]
             amps[opt] = max(metrics["oscillation_amplitude"].values())
         assert amps["blaq"] < amps["laq"]
+
+
+class TestWriteJson:
+    def test_numpy_values_written_as_their_python_equivalents(self, tmp_path):
+        nan = float("nan")
+        payload = {
+            "f64": np.float64(0.1), "nan": np.float64(nan), "py_nan": nan,
+            "i64": np.int64(-7), "bool": np.bool_(True), "py_bool": False,
+            "matrix": np.array([[1.5, -2.0], [1e-300, 3.0]]), "ints": np.arange(3),
+            "tuple": (1, np.float64(2.5), "x", (np.bool_(False), None)),
+            "nested": {"list": [np.int64(2), np.array([0.1, nan])], "empty": np.array([])},
+        }
+        plain = {
+            "f64": 0.1, "nan": nan, "py_nan": nan, "i64": -7, "bool": True, "py_bool": False,
+            "matrix": [[1.5, -2.0], [1e-300, 3.0]], "ints": [0, 1, 2],
+            "tuple": [1, 2.5, "x", [False, None]],
+            "nested": {"list": [2, [0.1, nan]], "empty": []},
+        }
+        write_json(tmp_path / "out.json", payload)
+        text = (tmp_path / "out.json").read_text()
+        assert text == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        assert '"f64": 0.1,' in text and '"nan": NaN,' in text and '"bool": true,' in text
+
+    def test_other_objects_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            write_json(tmp_path / "out.json", {"x": object()})
 
 
 class TestDeterminism:

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from blaq import optimizers
 from blaq.buffers import IN_PLACE_MIN_SIZE
 from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import ConfigError, NumericError
 from blaq.metrics import TrajectoryRecord, flip_count
 from blaq.models import abs_power_objective, fig1_quadratic
 from blaq.optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
-                             full_precision_step, laq_step, step)
+                             full_precision_step, laq_step, new_layer, run_steps, step)
 from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 from helpers import same_bits
 
@@ -419,6 +420,44 @@ class TestLayerLists:
         n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
         with pytest.raises(ConfigError):
             LayerQuantState.initialize(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
+
+
+class TestConstructorAndDriver:
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_run_steps_observes_before_and_after_every_step(self, monkeypatch, steps):
+        events = []
+
+        def recorded_step(*args):
+            events.append("step")
+            return step(*args)
+
+        monkeypatch.setattr(optimizers, "step", recorded_step)
+        state = fresh_layer("laq", [1.0, 1.0], True)
+        run_steps("laq", state, fig1_quadratic().grad_at, 0.6, steps, events.append)
+        assert events == [0] + [e for t in range(1, steps + 1) for e in ("step", t)]
+        assert state.step_count == steps
+
+    def test_full_precision_layer_owns_a_copy_of_w0(self):
+        w0 = np.array([1.0, -2.0])
+        state = new_layer(w0, None, CurvatureState(2, LrSchedule.constant(0.1)))
+        assert isinstance(state, FullPrecisionState)
+        assert not np.shares_memory(state.w, w0)
+        step("full-precision", state, fig1_quadratic().grad_at, 0.6)
+        state.w += 1.0
+        assert w0.tolist() == [1.0, -2.0]
+
+    def test_quantized_layer_is_the_initialized_state(self):
+        w0, schedule = np.array([0.3, -1.2, 0.7]), LrSchedule.constant(0.1)
+        state = new_layer(w0, QuantGrid(2), CurvatureState(3, schedule))
+        ref = LayerQuantState.initialize(w0, QuantGrid(2), CurvatureState(3, schedule))
+        assert isinstance(state, LayerQuantState) and state.grid.bitwidth == 2
+        assert same_bits(state.w, ref.w) and same_bits(state.w_hat(), ref.w_hat())
+
+    def test_oversized_quantized_layer_rejected(self):
+        grid = QuantGrid(16)
+        n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
+        with pytest.raises(ConfigError):
+            new_layer(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
 
 
 def _reference_proximal_step(layers, grad_at):

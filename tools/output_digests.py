@@ -56,6 +56,10 @@ RUNS = [
     # zero start weights: the 1-bit code of a zero is +1
     ("toy2d-zero-k1", ["toy2d", "--omega0", "[0,1]"]),
     ("pow32-zero-laq", ["toy-pow32", "--omega0", "[0,0.3]", "--optimizer", "laq"]),
+    # every pow32 key off its default, so a key the shared toy body reads
+    # from the wrong place shows
+    ("pow32-keys", ["toy-pow32", "--c", "2.0", "--omega0", "[0.3,-0.2,0.1]", "--bitwidth", "2",
+                    "--a", "0.3", "--beta2", "0.99", "--window", "50", "--steps", "300"]),
     ("theory-default", ["theory-check"]),
     ("theory-k2", ["theory-check", "--bitwidth", "2", "--n-instances", "10"]),
     # every suite key off its default, so a key read from the wrong place shows
