@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Supports exactly the primitives needed for small fully-connected
-classifiers and 1-D/2-D toy objectives: matmul, bias addition, relu,
-softmax cross-entropy, elementwise square/abs/power, scalar scale/shift,
-full reductions, and elementwise add.  Shapes are checked when nodes are
-built; a leading batch dimension may be left open (`None`) and is bound
-at forward time.
+Supports the primitives of small fully-connected classifiers and of the
+elementwise objectives of the gradient checks: matmul, bias addition,
+relu, softmax cross-entropy, elementwise square/abs/power, scalar
+scale/shift, full reductions, elementwise add.  Shapes are checked when
+nodes are built; a leading batch dimension may be left open (`None`)
+and is bound at forward time.
 """
 
 from __future__ import annotations

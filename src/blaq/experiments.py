@@ -19,10 +19,10 @@ from .curvature import CurvatureState, LrSchedule
 from .errors import CheckFailed, ConfigError
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
-from .models import TOY2D_CENTER, TOY2D_COEFFS, abs_power_objective, fig1_quadratic
+from .models import TOY2D_QUADRATIC, abs_power_objective, fig1_quadratic
 from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid
-from .theory import DiagonalQuadratic, quantized_loss_floor, run_suite
+from .theory import quantized_loss_floor, run_suite
 from .training import train_classifier
 
 TRAJECTORY_HEADER = "step,loss,coord_id,w,w_hat,delta_w"
@@ -70,13 +70,14 @@ def write_json(path, payload):
 
 
 def write_trajectory_csv(path, record, coord_ids):
+    rows = zip(record.steps, record.losses, record.w.tolist(), record.w_hat.tolist(),
+               record.updates.tolist())
     with open(path, "w") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for i, step in enumerate(record.steps):
-            loss = repr(float(record.losses[i]))
-            for j, cid in enumerate(coord_ids):
-                fh.write(f"{step},{loss},{cid},{float(record.w[i][j])!r},"
-                         f"{float(record.w_hat[i][j])!r},{float(record.updates[i][j])!r}\n")
+        for step, loss, w, w_hat, update in rows:
+            head = f"{step},{loss!r},"
+            fh.writelines(f"{head}{cid},{a!r},{b!r},{d!r}\n"
+                          for cid, a, b, d in zip(coord_ids, w, w_hat, update))
 
 
 def write_training_csv(path, rows):
@@ -100,7 +101,7 @@ def _out_dir(cfg):
 
 def run_toy_objective(objective, cfg, schedule, steps):
     """Drive one optimizer on a toy objective, recording every step."""
-    w0 = np.asarray(objective.graph.get_parameter(objective.param_name)).reshape(-1)
+    w0 = objective.w0
     grid = None if cfg.optimizer == "full-precision" else QuantGrid(cfg.bitwidth)
     state = new_layer(w0, grid, CurvatureState(len(w0), schedule, cfg.beta2, cfg.eps))
     record = TrajectoryRecord()
@@ -171,8 +172,7 @@ def run_toy2d(cfg):
 
 def toy2d_quantized_floor_loss(bitwidth):
     """Lowest loss of the 2-D toy over scaled k-bit codes."""
-    objective = DiagonalQuadratic(lam=2.0 * np.asarray(TOY2D_COEFFS), center=TOY2D_CENTER)
-    return quantized_loss_floor(objective, QuantGrid(bitwidth))[0]
+    return quantized_loss_floor(TOY2D_QUADRATIC, QuantGrid(bitwidth))[0]
 
 
 def _run_toy2d_sweep(cfg):
@@ -229,7 +229,7 @@ def _run_toy2d_sweep(cfg):
 
 def run_toy_pow32(cfg):
     return _run_toy(cfg, POW32_STEPS, pow32_default_schedule(), [0.5],
-                    lambda omega0: abs_power_objective(c=cfg.c, exponent=1.5, w0=omega0),
+                    lambda omega0: abs_power_objective(c=cfg.c, w0=omega0),
                     lambda state, record: {"final_abs_w": np.abs(state.w)})
 
 

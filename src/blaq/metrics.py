@@ -16,28 +16,37 @@ import numpy as np
 
 
 class TrajectoryRecord:
-    """Per-step log: (step index, loss, w, quantized level, delta w)."""
+    """Per-step log: (step index, loss, w, quantized level, delta w).
+
+    `w`, `w_hat` and `updates` are 2-D float64 arrays, one row of the
+    first w's width per step, views of buffers that double when full."""
 
     def __init__(self):
         self.steps = []
         self.losses = []
-        self.w = []
-        self.w_hat = []
-        self.updates = []
+        self._w = self._w_hat = self._updates = np.empty((0, 0))
 
     def append(self, step, loss, w, w_hat, update):
-        if self.steps and step <= self.steps[-1]:
+        n = len(self.steps)
+        if n and step <= self.steps[-1]:
             raise ValueError(f"step indices must be strictly increasing, got {step}")
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        w_hat = np.asarray(w_hat, dtype=np.float64).reshape(-1)
-        update = np.asarray(update, dtype=np.float64).reshape(-1)
-        if self.w and (len(w) != len(self.w[0]) or len(w_hat) != len(self.w_hat[0])):
-            raise ValueError("snapshot dimensions must stay constant")
+        w, w_hat, update = np.asarray(w), np.asarray(w_hat), np.asarray(update)
+        width = self._w.shape[1] if n else w.size
+        if w.size != width or w_hat.size != width or update.size != width:
+            raise ValueError(f"w, w_hat and update must each hold {width} entries")
+        if n == len(self._w):       # full: double the buffers, from 64 rows
+            self._w, self._w_hat, self._updates = (
+                np.concatenate([rows.reshape(n, width), np.empty((max(n, 64), width))])
+                for rows in (self._w, self._w_hat, self._updates))
+        self._w[n] = w.reshape(-1)
+        self._w_hat[n] = w_hat.reshape(-1)
+        self._updates[n] = update.reshape(-1)
         self.steps.append(int(step))
         self.losses.append(float(loss))
-        self.w.append(w.copy())
-        self.w_hat.append(w_hat.copy())
-        self.updates.append(update.copy())
+
+    w = property(lambda self: self._w[:len(self.steps)])
+    w_hat = property(lambda self: self._w_hat[:len(self.steps)])
+    updates = property(lambda self: self._updates[:len(self.steps)])
 
     def __len__(self):
         return len(self.steps)
@@ -53,7 +62,7 @@ def _check_window(record, window):
 def oscillation_amplitude(record, coord, window):
     """Largest per-step move of a full-precision coordinate in the window."""
     _check_window(record, window)
-    trace = np.array([snap[coord] for snap in record.w[-window:]])
+    trace = record.w[-window:, coord]
     if len(trace) < 2:
         return 0.0
     return float(np.max(np.abs(np.diff(trace))))
@@ -62,7 +71,7 @@ def oscillation_amplitude(record, coord, window):
 def flip_count(record, coord, window):
     """Number of quantized-level changes of a coordinate in the window."""
     _check_window(record, window)
-    trace = np.array([snap[coord] for snap in record.w_hat[-window:]])
+    trace = record.w_hat[-window:, coord]
     if len(trace) < 2:
         return 0
     return int(np.count_nonzero(trace[1:] != trace[:-1]))

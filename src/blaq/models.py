@@ -1,11 +1,15 @@
-"""Graph builders: toy objectives and the fully-connected classifier."""
+"""Objectives: the closed-form toys and the fully-connected classifier."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .autodiff import Graph
+from .errors import NumericError
 from .mnist import pixels_to_float
+from .theory import DiagonalQuadratic
 
 # Rows per block and per chunk of an accuracy pass.  Each full block is
 # evaluated in chunks; the rows after the last full block go as one call.
@@ -26,76 +30,55 @@ def eval_chunks(n):
 
 
 class ToyObjective:
-    """A graph over a single parameter vector, with loss/grad helpers.
+    """A closed-form objective of one vector, started at w0: `loss_at` and
+    `grad_at` raise NumericError where `loss(w)` or `grad(w)` is not finite."""
 
-    The point and loss of the last successful forward pass are kept, so
-    a `grad_at` at the point of the preceding `loss_at` (a toy run's
-    snapshot of w_hat, then the next step's first gradient) runs only the
-    backward pass.  Points match when their float64 bytes do; a forward
-    pass that raises forgets the point.  The memo holds while the graph
-    is driven only through these two methods.  The graph gets a copy of
-    the point, so a caller's later write into its array cannot reach a
-    remembered pass.
-    """
-
-    def __init__(self, graph, param_name):
-        self.graph = graph
-        self.param_name = param_name
-        self._shape = graph.get_parameter(param_name).shape
-        self._last = None           # (point bytes, loss) of the last forward pass
+    def __init__(self, loss, grad, w0):
+        self.loss = loss
+        self.grad = grad
+        self.w0 = np.array(w0, dtype=np.float64).reshape(-1)
 
     def loss_at(self, w):
-        w = np.asarray(w, dtype=np.float64).reshape(self._shape)
-        key = w.tobytes()
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        self._last = None
-        self.graph.set_parameter(self.param_name, w.copy())
-        loss = self.graph.forward({})
-        self._last = (key, loss)
+        loss = self.loss(w)
+        if not math.isfinite(loss):
+            raise NumericError(f"non-finite loss ({loss!r})")
         return loss
 
     def grad_at(self, w):
-        self.loss_at(w)
-        return self.graph.backward()[self.param_name].reshape(-1)
-
-
-def weighted_quadratic(coeffs, centers, w0=None):
-    """loss(w) = sum_i coeffs_i * (w_i - centers_i)^2."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    n = len(coeffs)
-    g = Graph()
-    w = g.parameter("w", np.zeros((1, n)) if w0 is None else np.asarray(w0).reshape(1, n))
-    shifted = g.add_bias(w, g.constant(-centers))
-    sq = g.square(shifted)
-    weighted = g.matmul(sq, g.constant(coeffs.reshape(n, 1)))
-    g.mark_loss(g.reduce_sum(weighted))
-    return ToyObjective(g, "w")
+        grad = self.grad(w)
+        # grad . (0 * grad) is NaN exactly when an entry of grad is infinite or NaN
+        if math.isnan(grad.dot(0.0 * grad)):
+            raise NumericError("non-finite gradient")
+        return grad
 
 
 # The 2-D toy quadratic: coefficients and minimizer.
 TOY2D_COEFFS = (5.0, 1.0)
 TOY2D_CENTER = (0.054, -0.055)
+# sum_i coeffs_i * (w_i - center_i)^2, the 2-D toy's loss, as a diagonal quadratic
+TOY2D_QUADRATIC = DiagonalQuadratic(2.0 * np.asarray(TOY2D_COEFFS), TOY2D_CENTER)
 
 
 def fig1_quadratic(w0=(1.0, 1.0)):
     """The 2-D anisotropic quadratic used for trajectory pictures."""
-    return weighted_quadratic(TOY2D_COEFFS, TOY2D_CENTER, w0)
+    return ToyObjective(TOY2D_QUADRATIC.loss, TOY2D_QUADRATIC.grad, w0)
 
 
-def abs_power_objective(c=1.0, exponent=1.5, w0=(0.5,)):
-    """loss(w) = c * sum_i |w_i|^exponent.
+def abs_power_objective(c=1.0, w0=(0.5,)):
+    """loss(w) = c * sum_i |w_i|^1.5, gradient (c * (1.5 * |w|^0.5)) * sign(w).
 
-    The gradient magnitude vanishes at the minimum like |w|^(p-1), which
+    The gradient magnitude vanishes at the minimum like |w|^0.5, which
     is what makes coarse quantized steps overshoot and oscillate there.
+    Both keep the bits of the same toy built on the autodiff graph, whose
+    reverse pass multiplies in that order (tests/test_models.py).
     """
-    w0 = np.asarray(w0, dtype=np.float64).reshape(-1)
-    g = Graph()
-    w = g.parameter("w", w0)
-    powered = g.power(g.abs(w), exponent)
-    g.mark_loss(g.reduce_sum(g.scale(powered, c)))
-    return ToyObjective(g, "w")
+    def loss(w):
+        return float((c * np.abs(w) ** 1.5).sum())
+
+    def grad(w):
+        return (c * (1.5 * np.abs(w) ** 0.5)) * np.sign(w)
+
+    return ToyObjective(loss, grad, w0)
 
 
 class MlpClassifier:

@@ -199,9 +199,13 @@ def step(kind, states, grad_at, a):
 
 def run_steps(kind, states, grad_at, a, steps, observe):
     """Call `observe(0)`, then for t = 1..steps take one `step` and call
-    `observe(t)`; returns the states."""
-    observe(0)
-    for t in range(1, steps + 1):
-        step(kind, states, grad_at, a)
-        observe(t)
+    `observe(t)`; returns the states.  A NumericError raised by
+    `observe(t)` gains the step number t."""
+    for t in range(steps + 1):
+        if t:
+            step(kind, states, grad_at, a)
+        try:
+            observe(t)
+        except NumericError as e:
+            raise NumericError(f"{e} at step {t}") from e
     return states

@@ -71,13 +71,15 @@ def theorem2_region(L1, eta):
 
 
 class DiagonalQuadratic:
-    """loss(w) = 0.5 * sum_i lam_i (w_i - c_i)^2 with lam > 0."""
+    """loss(w) = 0.5 * sum_i lam_i (w_i - c_i)^2 with lam > 0, summed as
+    (0.5 * lam_i) * (w_i - c_i)^2 so that it overflows only where a term does."""
 
     def __init__(self, lam, center):
         self.lam = np.asarray(lam, dtype=np.float64)
         self.center = np.asarray(center, dtype=np.float64)
         if self.lam.shape != self.center.shape or np.any(self.lam <= 0):
             raise ValueError("lam and center must match and lam must be positive")
+        self._half_lam = 0.5 * self.lam
 
     @property
     def L1(self):
@@ -89,7 +91,7 @@ class DiagonalQuadratic:
 
     def loss(self, w):
         r = np.asarray(w) - self.center
-        return 0.5 * float(np.dot(self.lam, r * r))
+        return float(np.dot(self._half_lam, r * r))
 
     def grad(self, w):
         return self.lam * (np.asarray(w) - self.center)

@@ -1,6 +1,10 @@
-"""Shared test utilities: finite-difference oracle, tolerances, bit equality."""
+"""Shared test utilities: finite-difference oracle, tolerances, bit equality,
+and the two toy objectives built on the autodiff graph."""
 
 import numpy as np
+
+from blaq.autodiff import Graph
+from blaq.models import TOY2D_CENTER, TOY2D_COEFFS
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -37,3 +41,29 @@ def same_bits(x, y):
     """Equal float64 bit patterns: tells -0.0 from 0.0 and matches NaNs."""
     return np.array_equal(np.asarray(x, dtype=np.float64).view(np.uint64),
                           np.asarray(y, dtype=np.float64).view(np.uint64))
+
+
+def toy2d_graph(w0):
+    """The 2-D toy on the graph: sum_i coeffs_i * (w_i - center_i)^2, with
+    the parameter "w" of shape (1, 2)."""
+    coeffs = np.asarray(TOY2D_COEFFS)
+    g = Graph()
+    w = g.parameter("w", np.reshape(w0, (1, 2)))
+    shifted = g.add_bias(w, g.constant(-np.asarray(TOY2D_CENTER)))
+    g.mark_loss(g.reduce_sum(g.matmul(g.square(shifted), g.constant(coeffs.reshape(2, 1)))))
+    return g
+
+
+def pow32_graph(c, w0):
+    """The 3/2-power toy on the graph: c * sum_i |w_i|^1.5."""
+    g = Graph()
+    w = g.parameter("w", np.reshape(w0, -1))
+    g.mark_loss(g.reduce_sum(g.scale(g.power(g.abs(w), 1.5), c)))
+    return g
+
+
+def graph_loss_and_grad(graph, w):
+    """Loss and flat gradient of a toy graph at w."""
+    graph.set_parameter("w", np.reshape(w, graph.get_parameter("w").shape))
+    loss = graph.forward({})
+    return loss, graph.backward()["w"].reshape(-1)

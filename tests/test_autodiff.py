@@ -7,8 +7,8 @@ import pytest
 
 from blaq.autodiff import _BACKWARD, _FORWARD, Graph
 from blaq.errors import NumericError, StateError
-from blaq.models import MlpClassifier, abs_power_objective, fig1_quadratic
-from helpers import finite_difference_grad, grads_close, same_bits
+from blaq.models import MlpClassifier
+from helpers import finite_difference_grad, grads_close, same_bits, toy2d_graph
 
 
 def mlp_batch(seed):
@@ -30,8 +30,7 @@ class TestForward:
         assert g.forward({}) == 9.0
 
     def test_anisotropic_quadratic_at_minimum(self):
-        obj = fig1_quadratic()
-        assert obj.loss_at([0.054, -0.055]) == 0.0
+        assert toy2d_graph([0.054, -0.055]).forward({}) == 0.0
 
     def test_uniform_logits_cross_entropy(self):
         # zero weights -> uniform softmax -> loss is log of the class count
@@ -82,9 +81,9 @@ class TestBackward:
         assert g.backward()["w"][0] == 6.0
 
     def test_quadratic_gradient_at_origin(self):
-        obj = fig1_quadratic()
-        grad = obj.grad_at([0.0, 0.0])
-        assert np.allclose(grad, [-0.54, 0.11], atol=1e-15)
+        g = toy2d_graph([0.0, 0.0])
+        g.forward({})
+        assert np.allclose(g.backward()["w"], [[-0.54, 0.11]], atol=1e-15)
 
     def test_power_adjoint_value(self):
         # d/dx sign(x)|x|^1.5 at x = 4 is 1.5 * sqrt(4) = 3
@@ -109,9 +108,9 @@ class TestBackward:
             assert grads[name].shape == model.graph.get_parameter(name).shape
 
     def test_every_reachable_node_has_matching_grad(self):
-        obj = fig1_quadratic()
-        obj.grad_at([0.3, 0.7])
-        g = obj.graph
+        g = toy2d_graph([0.3, 0.7])
+        g.forward({})
+        g.backward()
         for uid, grad in g.gradients.items():
             assert grad.shape == g.nodes[uid].value.shape
 
@@ -145,11 +144,12 @@ class TestGradientPruning:
         assert [g.nodes[i].kind for i in first.inputs] == ["placeholder", "parameter"]
         assert first.inputs[1] in g.gradients
 
-        obj = fig1_quadratic()
-        obj.grad_at([0.3, 0.7])
-        constants = [n for n in obj.graph.nodes if n.kind == "constant"]
+        toy = toy2d_graph([0.3, 0.7])
+        toy.forward({})
+        toy.backward()
+        constants = [n for n in toy.nodes if n.kind == "constant"]
         assert len(constants) == 2
-        assert all(n.uid not in obj.graph.gradients for n in constants)
+        assert all(n.uid not in toy.gradients for n in constants)
 
     def test_needs_grad_is_set_when_the_graph_is_built(self):
         g = Graph()
@@ -392,54 +392,8 @@ class TestLinearity:
             assert np.allclose(combined, separate, atol=1e-12)
 
 
-class TestToyObjectiveMemo:
-    @pytest.fixture
-    def forwards(self, monkeypatch):
-        calls = []
-        original = Graph.forward
-
-        def counting(graph, inputs=None):
-            calls.append(graph)
-            return original(graph, inputs)
-
-        monkeypatch.setattr(Graph, "forward", counting)
-        return calls
-
-    def test_grad_after_loss_at_the_same_point_reuses_the_forward_pass(self, forwards):
-        obj = fig1_quadratic()
-        loss = obj.loss_at(np.array([0.3, -0.2]))
-        grad = obj.grad_at(np.array([0.3, -0.2]))
-        assert len(forwards) == 1
-        assert obj.loss_at([0.3, -0.2]) == loss
-        assert len(forwards) == 1
-        fresh = fig1_quadratic()
-        assert np.array_equal(fresh.grad_at([0.3, -0.2]), grad)
-        assert fresh.graph.forward({}) == loss
-
-    def test_another_point_runs_a_fresh_forward_pass(self, forwards):
-        obj = fig1_quadratic()
-        obj.loss_at([0.3, -0.2])
-        grad = obj.grad_at([0.3, 0.2])
-        assert len(forwards) == 2
-        # -0.0 and 0.0 differ in their bytes, so the memo does not match
-        obj.loss_at([0.0, 0.2])
-        obj.grad_at([-0.0, 0.2])
-        assert len(forwards) == 4
-        assert np.array_equal(grad, fig1_quadratic().grad_at([0.3, 0.2]))
-
-    def test_failed_forward_pass_is_not_remembered(self, forwards):
-        obj = fig1_quadratic()
-        good = obj.loss_at([0.3, -0.2])
-        for call in (obj.loss_at, obj.grad_at, obj.loss_at):
-            with pytest.raises(NumericError, match=r"node 3 \(square\)"):
-                call([1e200, -0.2])
-        assert len(forwards) == 4
-        assert obj.loss_at([0.3, -0.2]) == good
-        assert len(forwards) == 5
-
-
 class TestParametersHeldAsGiven:
-    """`set_parameter` keeps the caller's float64 array; the toy memo copies."""
+    """`set_parameter` keeps the caller's float64 array."""
 
     def test_eval_batch_shares_memory_with_the_arrays_handed_to_it(self):
         rng = np.random.default_rng(3)
@@ -460,14 +414,3 @@ class TestParametersHeldAsGiven:
         g.set_parameter("w", values)
         values[0] = 7
         assert list(g.get_parameter("w")) == [1.0, 2.0, 3.0]
-
-    def test_toy_gradient_survives_a_write_into_the_array_given_to_loss_at(self):
-        # the partial of |w| reads the parameter's own value in the reverse pass
-        obj = abs_power_objective(w0=(0.5, -0.2))
-        w = np.array([0.5, -0.2])
-        loss = obj.loss_at(w)
-        w[:] = [-5.0, 5.0]                  # the caller reuses its array
-        grad = obj.grad_at(np.array([0.5, -0.2]))      # the memo's point: backward only
-        fresh = abs_power_objective(w0=(0.5, -0.2))
-        assert same_bits(grad, fresh.grad_at([0.5, -0.2]))
-        assert obj.loss_at([0.5, -0.2]) == loss

@@ -296,11 +296,17 @@ class TestCli:
         assert "metrics" in out
 
 
+DIVERGING_RUNS = [
+    (["toy-pow32", "--eta-schedule", "[[0,1e300]]"], "non-finite loss (inf) at step 1"),
+    (["toy2d", "--omega0", "[1e308,1]"], "non-finite loss (inf) at step 0"),
+    # only the loss overflows: the gradient at w0 is finite
+    (["toy2d", "--omega0", "[1e160,1]"], "non-finite loss (inf) at step 0"),
+    (["toy-pow32", "--c", "1e308", "--omega0", "[1e10]"], "non-finite loss (inf) at step 0"),
+]
+
+
 class TestCliLimits:
-    @pytest.mark.parametrize("argv, where", [
-        (["toy-pow32", "--eta-schedule", "[[0,1e300]]"], "node 2 (power) at step 1"),
-        (["toy2d", "--omega0", "[1e308,1]"], "node 3 (square)"),
-    ])
+    @pytest.mark.parametrize("argv, where", DIVERGING_RUNS)
     def test_divergence_exit_three(self, tmp_path, capsys, argv, where):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
         err = capsys.readouterr().err
@@ -308,10 +314,7 @@ class TestCliLimits:
         assert err.startswith("diverged: ") and where in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["toy-pow32", "--eta-schedule", "[[0,1e300]]"],
-        ["toy2d", "--omega0", "[1e308,1]"],
-    ])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in DIVERGING_RUNS])
     def test_divergence_is_the_first_stderr_line_of_a_process(self, tmp_path, argv):
         # numpy's overflow warnings would come first; the CLI silences them
         src = os.path.dirname(os.path.dirname(os.path.abspath(blaq.__file__)))

@@ -35,6 +35,21 @@ class TestRecord:
         with pytest.raises(ValueError):
             rec.append(1, 0.0, [1.0], [1.0], [0.0])
 
+    def test_update_width_is_checked(self):
+        rec = TrajectoryRecord()
+        rec.append(0, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="must each hold 2 entries"):
+            rec.append(1, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, 0.0, 0.0])
+        assert len(rec) == 1
+
+    def test_rows_survive_the_buffer_growing(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(3, 200, 2))
+        rec = record_from(rows[0], rows[1], updates=rows[2])
+        assert rec.w.shape == (200, 2)
+        assert np.array_equal(rec.w, rows[0]) and np.array_equal(rec.w_hat, rows[1])
+        assert np.array_equal(rec.updates, rows[2])
+
 
 class TestOscillationAmplitude:
     def test_constant_trace_is_zero(self):

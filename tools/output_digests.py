@@ -6,7 +6,8 @@ Usage:
 
 Imports `blaq` from SRC_DIR, runs each call of `RUNS` in-process through
 `blaq.cli.main`, and prints one line per output file:
-`<run> <exit code> <file> <sha256>`.  Run it on two source trees and
+`<run> <exit code> <file> <sha256>`, or `<run> <exit code> - -` for a
+run that writes no file.  Run it on two source trees and
 diff the two listings: a refactor that leaves the algorithm unchanged
 prints identical lines.  Both trees must write under the same root,
 because `config.json` echoes `output_dir`; the default root is fixed for
@@ -56,10 +57,18 @@ RUNS = [
     # zero start weights: the 1-bit code of a zero is +1
     ("toy2d-zero-k1", ["toy2d", "--omega0", "[0,1]"]),
     ("pow32-zero-laq", ["toy-pow32", "--omega0", "[0,0.3]", "--optimizer", "laq"]),
+    # the gradient at w = 0 at blaq's trial point
+    ("pow32-zero-blaq", ["toy-pow32", "--omega0", "[0,0.3]", "--optimizer", "blaq"]),
     # every pow32 key off its default, so a key the shared toy body reads
     # from the wrong place shows
     ("pow32-keys", ["toy-pow32", "--c", "2.0", "--omega0", "[0.3,-0.2,0.1]", "--bitwidth", "2",
                     "--a", "0.3", "--beta2", "0.99", "--window", "50", "--steps", "300"]),
+    # divergence, exit 3 before any file is written
+    ("diverge-pow32-eta", ["toy-pow32", "--eta-schedule", "[[0,1e300]]"]),
+    ("diverge-toy2d-1e308", ["toy2d", "--omega0", "[1e308,1]"]),
+    # only the loss overflows at w0; the gradient there is finite
+    ("diverge-toy2d-1e160", ["toy2d", "--omega0", "[1e160,1]"]),
+    ("diverge-pow32-c", ["toy-pow32", "--c", "1e308", "--omega0", "[1e10]"]),
     ("theory-default", ["theory-check"]),
     ("theory-k2", ["theory-check", "--bitwidth", "2", "--n-instances", "10"]),
     # every suite key off its default, so a key read from the wrong place shows
@@ -118,6 +127,8 @@ def digest_lines(blaq, root):
                        for d, _, fs in os.walk(out) for f in fs)
         for rel in files:
             yield f"{name} {code} {rel} {sha256(os.path.join(out, rel))}"
+        if not files:
+            yield f"{name} {code} - -"
 
 
 def main(argv=None):
