@@ -59,7 +59,6 @@ class Graph:
         self._params = {}            # name -> node uid
         self._placeholders = {}      # name -> node uid
         self._loss_uid = None
-        self._forward_done = False
 
     # ---- leaves ----
 
@@ -158,37 +157,27 @@ class Graph:
     # ---- execution ----
 
     def forward(self, inputs=None):
-        """Evaluate the graph; returns the loss as a Python float."""
+        """Evaluate the loss's ancestors, each node keeping its value for
+        `backward`; returns the loss as a Python float."""
         if self._loss_uid is None:
             raise StateError("no loss node marked")
-        inputs = inputs or {}
-        for name, values in inputs.items():
-            node, arr = self._checked_input(name, values)
-            node.value = arr
-        missing = set(self._placeholders) - set(inputs)
-        if missing:
-            raise ValueError(f"unbound inputs: {sorted(missing)}")
-
-        for node in self.nodes:
-            if node.kind in ("placeholder", "parameter", "constant"):
-                continue
-            args = [self.nodes[i].value for i in node.inputs]
-            node.value = _FORWARD[node.kind](node, *args)
-            if not np.isfinite(node.value).all():
-                raise NumericError(f"non-finite value at node {node.uid} ({node.kind})")
-        self._forward_done = True
-        return float(self.nodes[self._loss_uid].value)
+        return float(self._walk(self.nodes[self._loss_uid], inputs or {}, keep=True))
 
     def evaluate(self, target, inputs):
         """The value of node `target` for `inputs`, without a full forward pass.
 
-        Runs only the ops `target` depends on, with the rules and the
-        per-node finiteness check of `forward`, so the value matches a
-        forward pass bit for bit.  Each intermediate array is dropped once
-        its last consumer has run, and no node keeps a value: `backward`
-        still sees the last `forward`.  Only the placeholders `target`
-        depends on must be bound.
+        The walk of `forward`, so the value matches a forward pass bit for
+        bit, but each intermediate array is dropped once its last consumer
+        has run, and no node keeps a value: `backward` still sees the last
+        `forward`.  Only the placeholders `target` depends on must be bound.
         """
+        return self._walk(target, inputs, keep=False)
+
+    def _walk(self, target, inputs, keep):
+        """Run the ops `target` depends on, in build order, checking that
+        every value is finite; return the target's value.  With `keep`,
+        every node it reaches stores its value; without, each array is
+        dropped after its last consumer."""
         values = {}
         for name, given in inputs.items():
             node, arr = self._checked_input(name, given)
@@ -198,27 +187,30 @@ class Graph:
             if uid in needed:
                 needed.update(self.nodes[uid].inputs)
         order = sorted(needed)
-        last_use = {i: uid for uid in order for i in self.nodes[uid].inputs}
+        missing = sorted(self.nodes[uid].aux["name"] for uid in order
+                         if self.nodes[uid].kind == "placeholder" and uid not in values)
+        if missing:
+            raise ValueError(f"unbound inputs: {missing}")
+        last_use = {} if keep else {i: uid for uid in order for i in self.nodes[uid].inputs}
         for uid in order:
             node = self.nodes[uid]
-            if node.kind == "placeholder":
-                if uid not in values:
-                    raise ValueError(f"unbound inputs: {[node.aux['name']]}")
-            elif node.kind in ("parameter", "constant"):
+            if node.kind in ("parameter", "constant"):
                 values[uid] = node.value
-            else:
+            elif node.kind != "placeholder":
                 value = _FORWARD[node.kind](node, *(values[i] for i in node.inputs))
                 for i in node.inputs:
-                    if last_use[i] == uid:
+                    if last_use.get(i) == uid:
                         values.pop(i, None)
                 if not np.isfinite(value).all():
                     raise NumericError(f"non-finite value at node {uid} ({node.kind})")
                 values[uid] = value
+            if keep:
+                node.value = values[uid]
         return values[target.uid]
 
     def backward(self):
         """Reverse pass; returns {parameter name: gradient array}."""
-        if not self._forward_done:
+        if self._loss_uid is None or self.nodes[self._loss_uid].value is None:
             raise StateError("backward called before forward")
         self.gradients = {}
         for node in self.nodes:

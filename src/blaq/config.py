@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .curvature import LrSchedule
@@ -23,8 +24,17 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_int(key, value):
+    """`value` as an int: an integer or an integral float, not a bool."""
+    if not (_is_int(value) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _is_finite_number(x):
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    if _is_int(x):
+        return abs(x) <= sys.float_info.max     # converts to a finite float
+    return isinstance(x, float) and math.isfinite(x)
 
 
 @dataclass
@@ -70,6 +80,9 @@ class ExperimentConfig:
         for key in sorted(_FLOAT_KEYS):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("output_dir", "data_dir", "fetch_url"):
+            if getattr(self, key) is not None and not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
         if not _valid_bitwidth(self.bitwidth):
@@ -121,9 +134,16 @@ class ExperimentConfig:
                 raise ConfigError("no eta_schedule given and no default available")
             return default
         try:
-            return LrSchedule(self.eta_schedule)
-        except (ValueError, OverflowError) as e:
+            schedule = LrSchedule([(_as_int("eta_schedule from_step", step), rate)
+                                   for step, rate in self.eta_schedule])
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"bad eta_schedule: {e}") from e
+        for _, rate in schedule.entries:
+            # D = (sqrt(v_hat) + eps) / rate is never below eps / rate
+            if self.eps / rate == 0.0:
+                raise ConfigError(f"eta_schedule rate {rate} is too large for eps {self.eps}: "
+                                  f"eps / rate rounds to 0, so the metric D could be 0")
+        return schedule
 
     def echo(self, **resolved):
         """JSON-ready dict of the full config plus resolved defaults."""
@@ -144,9 +164,7 @@ def _coerce(key, value):
     if key in _FLOAT_KEYS:
         return float(value)
     if key in _INT_KEYS:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key} must be an integer, got {value}")
-        return int(value)
+        return _as_int(key, value)
     return value
 
 
@@ -161,7 +179,7 @@ _RESOLVED_KEYS = {"resolved_steps": ("steps", "steps"),
 def _build(data):
     try:
         coerced = {k: _coerce(k, v) for k, v in data.items()}
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad config value: {e}") from e
     try:
         return ExperimentConfig(**coerced)

@@ -180,7 +180,6 @@ def _run_toy2d_sweep(cfg):
     each k plus the backtracking variant at the smallest k."""
     ks = sorted(cfg.sweep_bitwidths)
     steps = cfg.steps or TOY2D_STEPS
-    window = cfg.window
     runs = {}
     for k in ks:
         sub = dataclasses.replace(cfg, optimizer="laq", bitwidth=k, sweep_bitwidths=None,
@@ -209,7 +208,7 @@ def _run_toy2d_sweep(cfg):
 
     report = {
         "bitwidths": ks,
-        "window": window,
+        "window": runs[("blaq", k0)]["metrics"]["window"],   # as clipped by every sub-run
         "laq_flip_count": {str(k): v for k, v in laq_flips.items()},
         "blaq_flip_count": {str(k0): blaq_flips},
         "laq_direction_changes": {str(k): v for k, v in laq_dc.items()},

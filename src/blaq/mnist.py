@@ -11,8 +11,10 @@ nothing here hard-codes a network dependency.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,45 +59,49 @@ def pixels_to_float(pixels):
     return out
 
 
-def _read_bytes(path):
-    if path.endswith(".gz") or not os.path.exists(path):
-        gz = path if path.endswith(".gz") else path + ".gz"
-        if os.path.exists(gz):
-            with gzip.open(gz, "rb") as fh:
-                return fh.read(), gz
-    with open(path, "rb") as fh:
-        return fh.read(), path
+def _stored(path):
+    """The file that holds `path`: itself if it exists, else `path + ".gz"`
+    if that exists, else None."""
+    return next((p for p in (path, path + ".gz") if os.path.exists(p)), None)
+
+
+def _read_idx(path, magic):
+    """The payload of an IDX file (plain or gzipped) as a uint8 array
+    shaped by its header, and the file it came from.  The header must
+    carry `magic`, non-negative dimensions and the file's exact size."""
+    found = _stored(path) or path
+    try:
+        with (gzip.open if found.endswith(".gz") else open)(found, "rb") as fh:
+            raw = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:     # a truncated or corrupt .gz
+        raise FormatError(f"{found}: {e}") from e
+    ndim, kind = {IMAGE_MAGIC: (3, "image"), LABEL_MAGIC: (1, "label")}[magic]
+    head = 4 * (ndim + 1)
+    if len(raw) < head:
+        raise FormatError(f"{found}: truncated header at offset {len(raw)}")
+    got, *dims = struct.unpack(f">{ndim + 1}i", raw[:head])
+    if got != magic:
+        raise FormatError(f"{found}: bad {kind} magic {got} at offset 0 (expected {magic})")
+    for i, dim in enumerate(dims):
+        if dim < 0:
+            raise FormatError(f"{found}: negative dimension {dim} at offset {4 + 4 * i}")
+    expected = head + math.prod(dims)
+    if len(raw) != expected:
+        raise FormatError(f"{found}: expected {expected} bytes, got {len(raw)} (offset {min(len(raw), expected)})")
+    return np.frombuffer(raw, dtype=np.uint8, offset=head).reshape(dims), found
 
 
 def read_idx_images(path):
     """Parse an IDX3 image file into a (n, rows, cols) uint8 array."""
-    raw, path = _read_bytes(path)
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
-    magic, n, rows, cols = struct.unpack(">iiii", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad image magic {magic} at offset 0 (expected {IMAGE_MAGIC})")
-    expected = 16 + n * rows * cols
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)} (offset {min(len(raw), expected)})")
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC)[0]
 
 
 def read_idx_labels(path):
     """Parse an IDX1 label file into a (n,) uint8 array, range-checked."""
-    raw, path = _read_bytes(path)
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated header at offset {len(raw)}")
-    magic, n = struct.unpack(">ii", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise FormatError(f"{path}: bad label magic {magic} at offset 0 (expected {LABEL_MAGIC})")
-    expected = 8 + n
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)} (offset {min(len(raw), expected)})")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
+    labels, found = _read_idx(path, LABEL_MAGIC)
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
-        raise FormatError(f"{path}: label {labels[bad[0]]} out of range at offset {8 + int(bad[0])}")
+        raise FormatError(f"{found}: label {labels[bad[0]]} out of range at offset {8 + int(bad[0])}")
     return labels
 
 
@@ -133,10 +139,7 @@ def dataset_present(data_dir):
     """True when all four files (possibly gzipped) exist."""
     if not data_dir or not os.path.isdir(data_dir):
         return False
-    return all(
-        os.path.exists(os.path.join(data_dir, n)) or os.path.exists(os.path.join(data_dir, n) + ".gz")
-        for n in FILE_NAMES
-    )
+    return all(_stored(os.path.join(data_dir, n)) for n in FILE_NAMES)
 
 
 def default_data_dir():
@@ -149,30 +152,30 @@ def fetch_mnist(data_dir, base_url, timeout=60):
     os.makedirs(data_dir, exist_ok=True)
     for name in FILE_NAMES:
         plain = os.path.join(data_dir, name)
-        gz = plain + ".gz"
-        if os.path.exists(plain) or os.path.exists(gz):
+        if _stored(plain):
             continue
         url = base_url.rstrip("/") + "/" + name + ".gz"
-        with urllib.request.urlopen(url, timeout=timeout) as resp, open(gz, "wb") as out:
+        with urllib.request.urlopen(url, timeout=timeout) as resp, open(plain + ".gz", "wb") as out:
             out.write(resp.read())
     return data_dir
 
 
+def _write_idx(path, magic, array):
+    """Write a uint8 array as an IDX file: magic, dimensions, bytes."""
+    array = np.asarray(array, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{array.ndim + 1}i", magic, *array.shape))
+        fh.write(array.tobytes())
+
+
 def write_idx_images(path, images):
     """Write a uint8 (n, rows, cols) array as an IDX3 file."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
+    _write_idx(path, IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels):
     """Write a uint8 (n,) array as an IDX1 file."""
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABEL_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
+    _write_idx(path, LABEL_MAGIC, labels)
 
 
 def make_synthetic_fixture(data_dir, n_train=100, n_test=50, seed=7, image_size=28):

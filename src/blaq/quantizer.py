@@ -158,6 +158,8 @@ def _sweep_scale(w, d, grid):
     mags = np.abs(w)
     s_wb = float(np.dot(d, mags)) / n
     s_bb = float(d.sum()) / (n * n)
+    if not s_bb > 0.0:
+        raise NumericError(f"projection weights underflow: sum(d) / {n * n} is 0")
     odd = np.arange(3, 2 * n, 2, dtype=np.float64)           # 2j+1, j = 1..n-1
     sums = _candidate_sums(mags, d, n, odd, s_wb, s_bb)
     if sums is None:
@@ -225,7 +227,7 @@ def _candidate_sums(mags, d, n, odd, s_wb, s_bb):
     pos = 2.0 * n / odd
     n_buckets = math.isqrt(total)
     width = float(mags.max() * pos[0]) / n_buckets  # the largest breakpoint, split
-    scale = 1.0 / width
+    scale = 1.0 / width if width > 0.0 else math.inf
     if not math.isfinite(scale):
         return None
     blocks = _blocks(n - 1, mags.size)
@@ -314,8 +316,9 @@ def _fit(w, d, grid):
     else:
         beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
     alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
-    if not math.isfinite(alpha):
-        raise NumericError(f"projection scale is not finite: {alpha}")
+    if not 0.0 < alpha < math.inf:
+        kind = "positive" if math.isfinite(alpha) else "finite"
+        raise NumericError(f"projection scale is not {kind}: {alpha}")
     return alpha, beta
 
 
@@ -330,7 +333,9 @@ def project(w, d, grid):
     (alpha = sum(d*w*beta) / sum(d*beta^2)) finish it.
     On the 1-bit grid there are no breakpoints and this is the closed
     form beta = sign(w), alpha = sum(d*|w|)/sum(d).  A scale that is not
-    finite (a NaN or infinite w, or an overflowing sum) is a NumericError.
+    finite (a NaN or infinite w, or an overflowing sum) or not positive
+    (a sum that underflows to 0) is a NumericError, and so are weights d
+    too small for the sweep's sums.
     """
     w, d = _validate_projection_args(w, d)
     if not w.any():

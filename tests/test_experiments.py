@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -45,6 +46,8 @@ class TestConfig:
         {"eta_schedule": [[5, 0.1]]},
         {"sweep_bitwidths": [0, 2]},
         {"m": 5},
+        {"output_dir": 5},
+        {"data_dir": ["x"]},
     ])
     def test_bad_values_rejected(self, patch):
         data = {"experiment": "toy2d"}
@@ -82,6 +85,17 @@ class TestConfig:
                                 "eta_schedule": [[0, 0.1], [10, 0.05]]})
         sched = cfg.schedule()
         assert sched.at(5) == 0.1 and sched.at(10) == 0.05
+
+    def test_integral_float_schedule_step_accepted(self):
+        cfg = config_from_dict({"experiment": "toy2d", "eta_schedule": [[0, 0.1], [2.0, 0.05]]})
+        assert cfg.schedule().entries == [(0, 0.1), (2, 0.05)]
+
+    def test_rate_rejected_exactly_where_eps_over_rate_rounds_to_zero(self):
+        # 1e-320 / 1e3 is a subnormal; 1e-320 / 1e4 rounds to 0
+        base = {"experiment": "toy2d", "eps": 1e-320}
+        assert config_from_dict({**base, "eta_schedule": [[0, 1e3]]}).eps == 1e-320
+        with pytest.raises(ConfigError, match="eps / rate rounds to 0"):
+            config_from_dict({**base, "eta_schedule": [[0, 0.1], [5, 1e4]]})
 
 
 def toy_cfg(tmp_path, experiment="toy2d", **kw):
@@ -123,6 +137,13 @@ class TestToyRunners:
         metrics = out["metrics"]
         assert "flip_count" in metrics
         assert os.path.exists(os.path.join(out["out_dir"], "trajectory.csv"))
+
+    def test_sweep_report_echoes_the_sub_runs_window(self, tmp_path):
+        out = tmp_path / "sweep"
+        cli_main(["toy2d", "--sweep-bitwidths", "[1,2]", "--steps", "5", "--output-dir", str(out)])
+        report = json.loads((out / "zigzag_report.json").read_text())
+        windows = {json.loads(p.read_text())["window"] for p in out.glob("*/metrics.json")}
+        assert windows == {report["window"]} == {6}
 
     def test_bad_omega0_rejected(self, tmp_path):
         cfg = toy_cfg(tmp_path, omega0=[1.0, 2.0, 3.0])
@@ -302,6 +323,12 @@ DIVERGING_RUNS = [
     # only the loss overflows: the gradient at w0 is finite
     (["toy2d", "--omega0", "[1e160,1]"], "non-finite loss (inf) at step 0"),
     (["toy-pow32", "--c", "1e308", "--omega0", "[1e10]"], "non-finite loss (inf) at step 0"),
+    # the 1-bit scale (d . |w|) / sum(d) underflows to 0
+    (["toy2d", "--omega0", "[5e-324,0]"], "projection scale is not positive: 0.0"),
+    # sum(d) / n^2 of the 8-bit sweep underflows
+    (["toy-pow32", "--omega0", "[1.0]", "--bitwidth", "8", "--optimizer", "laq", "--eps", "1e-320",
+      "--eta-schedule", "[[0,1.0]]", "--c", "1e-300"],
+     "projection weights underflow: sum(d) / 16384 is 0 at step 1"),
 ]
 
 
@@ -357,6 +384,16 @@ class TestCliLimits:
         ["train-mnist", "--hidden", "5"],
         ["train-mnist", "--hidden", "[2.5]"],
         ["toy2d", "--m", "5"],
+        # eps / rate rounds to 0, so the metric D could be 0
+        ["toy-pow32", "--omega0", "[0.3]", "--eps", "1e-320", "--eta-schedule", "[[0,1e100]]",
+         "--c", "1e-300"],
+        ["train-mnist", "--eps", "1e-320", "--eta-schedule", "[[0,1e300]]"],
+        ["toy2d", "--eta-schedule", "[[0.5,1]]"],
+        ["toy2d", "--eta-schedule", "[[false,1]]"],
+        ["toy2d", "--eta-schedule", '[["0",1]]'],
+        ["toy2d", "--steps", "true"],
+        ["toy2d", "--omega0", "[1" + "0" * 400 + "]"],
+        ["toy2d", "--eps", "1" + "0" * 400],
     ])
     def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
@@ -511,3 +548,58 @@ class TestConfigRoundTrip:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: resolved_steps=30 disagrees")
         assert not out.exists()
+
+
+# Start values, from signed zeros and subnormals to near-overflow, and the
+# other knobs of a toy run at the ends of their ranges.
+CONTRACT_OMEGA0 = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e-160, 0.3, -0.7, 1.0,
+                   1e150, 1e200, 1e300, 1.7e308]
+
+
+def contract_sweep_runs(n=150, seed=0):
+    """n seeded toy runs of 20 steps over CONTRACT_OMEGA0, bitwidths
+    {1, 2, 3, 8, 16}, every optimizer, eps in {1e-320, 1e-8, 1e10}, rates
+    in {1e-300, 1, 1e100, 1e300} and c in {1e-300, 1e300}."""
+    rng = np.random.default_rng(seed)
+
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    for _ in range(n):
+        experiment = pick(["toy2d", "toy-pow32"])
+        dim = 2 if experiment == "toy2d" else int(rng.integers(1, 4))
+        argv = [experiment, "--steps", "20",
+                "--omega0", json.dumps([pick(CONTRACT_OMEGA0) for _ in range(dim)]),
+                "--bitwidth", str(pick([1, 2, 3, 8, 16])),
+                "--optimizer", pick(["laq", "blaq", "full-precision"]),
+                "--eps", repr(pick([1e-320, 1e-8, 1e10])),
+                "--eta-schedule", json.dumps([[0, pick([1e-300, 1.0, 1e100, 1e300])]])]
+        if experiment == "toy-pow32":
+            argv += ["--c", repr(pick([1e-300, 1e300]))]
+        yield argv
+
+
+class TestExitCodeContract:
+    """Every input ends in exit 0-3 with a one-line message, never a traceback."""
+
+    def test_seeded_sweep_of_extreme_toy_inputs(self, tmp_path, capsys):
+        codes = []
+        for i, argv in enumerate(contract_sweep_runs()):
+            code = cli_main(argv + ["--output-dir", str(tmp_path / str(i))])
+            assert code in (0, 1, 2, 3), argv
+            assert len(capsys.readouterr().err.splitlines()) == (code != 0), argv
+            codes.append(code)
+        # the sweep reaches finished runs, rejected configs and divergences
+        assert {0, 2, 3} <= set(codes)
+
+    def test_negative_idx_dimension_exit_two(self, tmp_path, capsys):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"), n_train=40, n_test=20, seed=2)
+        path = os.path.join(data_dir, "train-images-idx3-ubyte")
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">iiii", 2051, -1, -1, 16) + bytes(16))
+        code = cli_main(["train-mnist", "--data-dir", data_dir,
+                         "--output-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: negative dimension -1 at offset 4")
+        assert "Traceback" not in err

@@ -68,6 +68,16 @@ class TestIdxFormat:
             read_idx_images(path)
         assert "offset" in str(exc.value)
 
+    @pytest.mark.parametrize("dims", [(-1, -1, 16), (1, -28, 28)])
+    def test_negative_dimension_rejected(self, tmp_path, dims):
+        path = str(tmp_path / "imgs")
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">iiii", IMAGE_MAGIC, *dims))
+            fh.write(bytes(16))
+        with pytest.raises(FormatError, match="negative dimension") as exc:
+            read_idx_images(path)
+        assert path in str(exc.value)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         path = str(tmp_path / "labels")
         with open(path, "wb") as fh:
@@ -86,6 +96,17 @@ class TestIdxFormat:
         with gzip.open(plain + ".gz", "wb") as fh:
             fh.write(payload)
         assert list(read_idx_labels(plain)) == [3, 1, 4]
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_rejected(self, tmp_path, damage):
+        plain = str(tmp_path / "labels")
+        blob = gzip.compress(struct.pack(">ii", LABEL_MAGIC, 3) + bytes([3, 1, 4]) * 100)
+        with open(plain + ".gz", "wb") as fh:
+            fh.write(blob[:len(blob) // 2] if damage == "truncated"
+                     else blob[:20] + bytes(len(blob) - 20))
+        with pytest.raises(FormatError) as exc:
+            read_idx_labels(plain)
+        assert str(exc.value).startswith(plain + ".gz: ")
 
 
 class TestLoadDataset:

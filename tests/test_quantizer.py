@@ -228,6 +228,24 @@ class TestProject:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
             project(np.array(w), np.ones(2), QuantGrid(k))
 
+    def test_underflowing_scale_raises(self):
+        # (d . |w|) / sum(d) of [5e-324, 0] rounds to 0: no positive scale
+        with pytest.raises(NumericError, match="projection scale is not positive: 0.0"):
+            project(np.array([5e-324, 0.0]), np.ones(2), QuantGrid(1))
+
+    def test_subnormal_weights_on_a_long_sweep(self):
+        # the bucket width of 20,000 weights of 5e-324 rounds to 0; the
+        # sweep falls back to sorting every breakpoint
+        w = np.full(20000, 5e-324)
+        with np.errstate(all="ignore"):
+            code = project(w, np.ones_like(w), QuantGrid(2))
+        assert code.alpha == 5e-324 and (code.beta == 1.0).all()
+
+    def test_underflowing_sweep_weights_raise(self):
+        # sum(d) / n^2 of the 8-bit sweep rounds to 0
+        with pytest.raises(NumericError, match="projection weights underflow"):
+            project(np.array([1.0]), np.array([1e-320]), QuantGrid(8))
+
 
 class TestBreakpointSweep:
     def test_matches_exhaustive_three_and_four_bits(self):
