@@ -4,10 +4,11 @@ Subcommands: toy2d, toy-pow32, train-mnist, theory-check.  Each accepts
 --config FILE plus any number of --key value overrides (values parsed as
 JSON when possible).  Exit codes: 0 success, 1 a run-level assertion
 failed, 2 configuration or data errors (an unusable output directory
-included), 3 the run diverged (a loss, gradient, iterate or projection
-scale became non-finite, or a projection scale or the projection's
-weights underflowed to zero; the message names the graph node, the
-toy's loss or gradient, or the scale, and the step number).  numpy's
+or a run over its size limit included), 3 the run diverged (a loss,
+gradient, metric, iterate or projection scale became non-finite, or a
+projection scale or the projection's weights underflowed to zero; the
+message names the graph node, the toy's loss or gradient, the metric or
+the scale, and the step number).  numpy's
 floating-point warnings are silenced: the package's own checks catch
 every non-finite value, so `diverged: ` is the first line on stderr.
 """

@@ -128,21 +128,27 @@ class ExperimentConfig:
             self.schedule()  # validates
 
     def schedule(self, default=None):
-        """Resolve the learning-rate schedule, or the supplied default."""
+        """Resolve the learning-rate schedule, or the supplied default;
+        either way every rate must leave eps / rate a positive finite
+        number."""
         if self.eta_schedule is None:
             if default is None:
                 raise ConfigError("no eta_schedule given and no default available")
-            return default
-        try:
-            schedule = LrSchedule([(_as_int("eta_schedule from_step", step), rate)
-                                   for step, rate in self.eta_schedule])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"bad eta_schedule: {e}") from e
+            schedule = default
+        else:
+            try:
+                schedule = LrSchedule([(_as_int("eta_schedule from_step", step), rate)
+                                       for step, rate in self.eta_schedule])
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"bad eta_schedule: {e}") from e
         for _, rate in schedule.entries:
             # D = (sqrt(v_hat) + eps) / rate is never below eps / rate
             if self.eps / rate == 0.0:
                 raise ConfigError(f"eta_schedule rate {rate} is too large for eps {self.eps}: "
                                   f"eps / rate rounds to 0, so the metric D could be 0")
+            if self.eps / rate == math.inf:
+                raise ConfigError(f"eta_schedule rate {rate} is too small for eps {self.eps}: "
+                                  f"eps / rate overflows, so the metric D is infinite")
         return schedule
 
     def echo(self, **resolved):

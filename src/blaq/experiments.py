@@ -22,7 +22,7 @@ from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
 from .models import TOY2D_QUADRATIC, abs_power_objective, fig1_quadratic
 from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid
-from .theory import quantized_loss_floor, run_suite
+from .theory import check_trace_floats, quantized_loss_floor, run_suite
 from .training import train_classifier
 
 TRAJECTORY_HEADER = "step,loss,coord_id,w,w_hat,delta_w"
@@ -115,6 +115,13 @@ def run_toy_objective(objective, cfg, schedule, steps):
     return state, record
 
 
+def _check_toy_record(steps, omega0):
+    """A toy run records w, its levels and the update, len(omega0) floats
+    each, at steps + 1 points."""
+    check_trace_floats(3 * len(omega0) * (steps + 1),
+                       f"steps {steps} on {len(omega0)} weights")
+
+
 def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objective,
              extra_metrics):
     """The body of a toy run: resolve the unset steps, schedule and omega0
@@ -124,6 +131,7 @@ def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objectiv
     steps = cfg.steps or default_steps
     schedule = cfg.schedule(default_schedule)
     omega0 = cfg.omega0 or default_omega0
+    _check_toy_record(steps, omega0)
     state, record = run_toy_objective(make_objective(omega0), cfg, schedule, steps)
 
     n = len(omega0)
@@ -180,6 +188,7 @@ def _run_toy2d_sweep(cfg):
     each k plus the backtracking variant at the smallest k."""
     ks = sorted(cfg.sweep_bitwidths)
     steps = cfg.steps or TOY2D_STEPS
+    _check_toy_record(steps, cfg.omega0 or [1.0, 1.0])
     runs = {}
     for k in ks:
         sub = dataclasses.replace(cfg, optimizer="laq", bitwidth=k, sweep_bitwidths=None,
@@ -245,6 +254,10 @@ def run_train_mnist(cfg, dataset=None):
         dataset = mnist_io.load_mnist(data_dir)
 
     steps_per_epoch = int(np.ceil(len(dataset.train_images) / cfg.batch_size))
+    # the trajectory: w, its levels and the update of each tracked weight
+    check_trace_floats(3 * cfg.track_coords * cfg.epochs * steps_per_epoch,
+                       f"epochs {cfg.epochs} of {steps_per_epoch} steps at track_coords "
+                       f"{cfg.track_coords}")
     schedule = cfg.schedule(mnist_default_schedule(steps_per_epoch))
     result = train_classifier(dataset, cfg, schedule)
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import Graph
+from .curvature import all_finite
 from .errors import NumericError
 from .mnist import pixels_to_float
 from .theory import DiagonalQuadratic
@@ -46,8 +47,7 @@ class ToyObjective:
 
     def grad_at(self, w):
         grad = self.grad(w)
-        # grad . (0 * grad) is NaN exactly when an entry of grad is infinite or NaN
-        if math.isnan(grad.dot(0.0 * grad)):
+        if not all_finite(grad):
             raise NumericError("non-finite gradient")
         return grad
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureState
+from .curvature import CurvatureState, all_finite, scalar
 from .errors import ConfigError, NumericError
 from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
@@ -112,13 +112,19 @@ def new_layer(w0, grid, curvature):
     return LayerQuantState.initialize(w0, grid, curvature)
 
 
-def _as_layers(states, grad_at=None):
+def _as_layers(states, grad_at):
     """Layer list and joint gradient; a bare state is the one-layer case."""
     if isinstance(states, list):
         return states, grad_at
-    if grad_at is None:
-        return [states], None
     return [states], lambda points: [grad_at(points[0])]
+
+
+def _finite_metric(d):
+    """d, the metric a layer is placed under; an entry that is not finite
+    (g*g overflowed, or a mix formed 0 * inf) is a NumericError."""
+    if not all_finite(d):
+        raise NumericError("metric is not finite")
+    return d
 
 
 def _proximal_step(states, grad_at):
@@ -128,7 +134,7 @@ def _proximal_step(states, grad_at):
     points = [s.w_hat() for s in layers]
     for s, w_hat, g in zip(layers, points, grad_at(points)):
         g = np.asarray(g, dtype=np.float64)
-        d = s.curvature.update(g)
+        d = _finite_metric(s.curvature.update(g))
         s.g_hat, s.d_hat = g, d
         s.place(w_hat - g / d, d)
         s.step_count += 1
@@ -155,6 +161,7 @@ def blaq_step(states, grad_at, a):
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"mixing coefficient a must lie in [0, 1], got {a}")
     layers, grad_at = _as_layers(states, grad_at)
+    a_now, a_trial = scalar(a), scalar(1.0 - a)
     trial_points = []
     for s, g in zip(layers, grad_at([s.w_hat() for s in layers])):
         s.g_hat = np.asarray(g, dtype=np.float64)
@@ -165,8 +172,8 @@ def blaq_step(states, grad_at, a):
     for s, g_star in zip(layers, grad_at(trial_points)):
         g_star = np.asarray(g_star, dtype=np.float64)
         d_star = s.curvature.peek(g_star)
-        s.g_hat = a * s.g_hat + (1.0 - a) * g_star
-        s.d_hat = a * s.d_hat + (1.0 - a) * d_star
+        s.g_hat = a_now * s.g_hat + a_trial * g_star
+        s.d_hat = _finite_metric(a_now * s.d_hat + a_trial * d_star)
         s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
         s.step_count += 1
     return states
@@ -183,8 +190,7 @@ def step(kind, states, grad_at, a):
 
     A NumericError raised inside the step gains the step number.
     """
-    layers, _ = _as_layers(states)
-    number = layers[0].step_count + 1
+    number = (states[0] if isinstance(states, list) else states).step_count + 1
     try:
         if kind == "laq":
             return laq_step(states, grad_at)

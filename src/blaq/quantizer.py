@@ -119,16 +119,6 @@ def weighted_objective(w, d, alpha, beta):
     return 0.5 * float(np.dot(d, r * r))
 
 
-def _validate_projection_args(w, d):
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if w.shape != d.shape or w.ndim != 1:
-        raise ValueError(f"w and d must be equal-length vectors, got {w.shape} and {d.shape}")
-    if not (d > 0.0).all():
-        raise ValueError("all weights d must be strictly positive")
-    return w, d
-
-
 def _sweep_scale(w, d, grid):
     """Optimal scale of the best code, by one sorted breakpoint sweep.
 
@@ -315,7 +305,7 @@ def _fit(w, d, grid):
         beta = _sign(w)
     else:
         beta = nearest_level(grid, w / _sweep_scale(w, d, grid))
-    alpha = float(np.dot(d, w * beta) / np.dot(d, beta * beta))
+    alpha = float(d.dot(w * beta) / d.dot(beta * beta))
     if not 0.0 < alpha < math.inf:
         kind = "positive" if math.isfinite(alpha) else "finite"
         raise NumericError(f"projection scale is not {kind}: {alpha}")
@@ -337,8 +327,15 @@ def project(w, d, grid):
     (a sum that underflows to 0) is a NumericError, and so are weights d
     too small for the sweep's sums.
     """
-    w, d = _validate_projection_args(w, d)
-    if not w.any():
+    w = np.asarray(w, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if w.shape != d.shape or w.ndim != 1:
+        raise ValueError(f"w and d must be equal-length vectors, got {w.shape} and {d.shape}")
+    # one reduction each: the minimum of d is NaN or not above 0 exactly
+    # when some entry is; count_nonzero beats any() on a short w only
+    if not np.minimum.reduce(d, initial=math.inf) > 0.0:
+        raise ValueError("all weights d must be strictly positive")
+    if not (np.count_nonzero(w) if w.size < IN_PLACE_MIN_SIZE else w.any()):
         return ScaledCode(ZERO_VECTOR_ALPHA, np.ones_like(w))
     return ScaledCode(*_fit(w, d, grid))
 

@@ -1,10 +1,12 @@
 """Shared test utilities: finite-difference oracle, tolerances, bit equality,
-and the two toy objectives built on the autodiff graph."""
+the two toy objectives built on the autodiff graph, and the per-step bound
+check."""
 
 import numpy as np
 
 from blaq.autodiff import Graph
 from blaq.models import TOY2D_CENTER, TOY2D_COEFFS
+from blaq.theory import BOUND_REL_SLACK, TheoryParams, theorem1_bound
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -67,3 +69,23 @@ def graph_loss_and_grad(graph, w):
     graph.set_parameter("w", np.reshape(w, graph.get_parameter("w").shape))
     loss = graph.forward({})
     return loss, graph.backward()["w"].reshape(-1)
+
+
+def count_bound_violations_per_step(objective, trace, schedule):
+    """The one-step bound checked one step at a time, with scalar norms,
+    bounds and losses: the oracle for `theory.count_bound_violations`."""
+    L1, mu = objective.L1, objective.mu
+    w_star = objective.center
+    violations = 0
+    checked = 0
+    for t in range(len(trace) - 1):
+        delta = float(np.linalg.norm(trace[t] - w_star))
+        eta = schedule.at(t + 1)
+        bound = theorem1_bound(TheoryParams(L1, mu, eta, delta))
+        if bound <= 0.0:
+            continue
+        checked += 1
+        observed = objective.loss(trace[t + 1])
+        if observed > bound * (1.0 + BOUND_REL_SLACK) + 1e-15:
+            violations += 1
+    return violations, checked

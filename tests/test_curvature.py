@@ -1,10 +1,12 @@
 """Second-moment curvature metric and the learning-rate schedule."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from blaq.buffers import IN_PLACE_MIN_SIZE
-from blaq.curvature import CurvatureState, LrSchedule
+from blaq.curvature import CurvatureState, LrSchedule, all_finite
 from blaq.errors import NumericError
 from helpers import same_bits
 
@@ -132,7 +134,7 @@ class TestUpdateAndPeek:
     SCHEDULE = LrSchedule([(0, 0.1), (3, 0.02), (5, 0.3)])
 
     # both sides of the size from which the metric is computed in place
-    SIZES = [1, 50, IN_PLACE_MIN_SIZE]
+    SIZES = [1, 4, 50, IN_PLACE_MIN_SIZE]
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("beta2", [0.0, 0.9, 0.999])
@@ -181,6 +183,42 @@ class TestUpdateAndPeek:
         with pytest.raises(NumericError):
             state.peek(np.array([1.0, float("inf")]))
         assert state.step == 0 and not state.v.any()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_keeps_its_message(self, n, bad):
+        state = CurvatureState(n, self.SCHEDULE)
+        g = np.ones(n)
+        g[n // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the check itself warns of nothing
+            for call in (state.update, state.peek):
+                with pytest.raises(NumericError) as exc:
+                    call(g)
+                assert str(exc.value) == "gradient contains non-finite entries"
+        assert state.step == 0 and not state.v.any()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_largest_finite_gradient_accepted(self, n):
+        # g . g overflows, so the elementwise test gives the verdict
+        state = CurvatureState(n, self.SCHEDULE)
+        g = np.full(n, 1e308)
+        g[0] = -1e308
+        with np.errstate(over="ignore"):     # g * g overflows in the moment
+            state.peek(g)
+            d = state.update(g)
+        assert state.step == 1 and (d > 0.0).all()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("value, finite", [
+        (np.nan, False), (np.inf, False), (-np.inf, False), (1e308, True),
+        (-1e200, True), (5e-324, True), (-0.0, True)])
+    def test_all_finite_is_the_elementwise_verdict(self, n, value, finite):
+        x = np.linspace(-2.0, 2.0, n)
+        x[-1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(x) is finite is bool(np.isfinite(x).all())
 
     @pytest.mark.parametrize("n", SIZES)
     def test_rejected_update_leaves_the_state(self, n):

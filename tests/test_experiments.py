@@ -1,17 +1,21 @@
 """Config validation, runner outputs, CSV schemas, determinism, CLI codes."""
 
+import importlib.util
 import json
 import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import blaq
 from blaq.cli import main as cli_main
+from blaq import experiments, theory
 from blaq.config import config_from_dict, load_config
+from blaq.curvature import LrSchedule
 from blaq.errors import ConfigError
 from blaq.experiments import (TRAJECTORY_HEADER, TRAINING_HEADER, run,
                               run_toy2d, run_toy_pow32, run_train_mnist,
@@ -89,6 +93,18 @@ class TestConfig:
     def test_integral_float_schedule_step_accepted(self):
         cfg = config_from_dict({"experiment": "toy2d", "eta_schedule": [[0, 0.1], [2.0, 0.05]]})
         assert cfg.schedule().entries == [(0, 0.1), (2, 0.05)]
+
+    def test_rate_rejected_exactly_where_eps_over_rate_overflows(self):
+        # 1 / 6e-309 is about 1.67e308; 1 / 5e-309 overflows
+        base = {"experiment": "toy2d", "eps": 1.0}
+        assert config_from_dict({**base, "eta_schedule": [[0, 6e-309]]}).eps == 1.0
+        with pytest.raises(ConfigError, match="eps / rate overflows"):
+            config_from_dict({**base, "eta_schedule": [[0, 0.1], [5, 5e-309]]})
+        # a runner's default schedule is held to the same rule
+        cfg = config_from_dict({"experiment": "toy2d", "eps": 1e308})
+        with pytest.raises(ConfigError, match="rate 0.1 is too small"):
+            cfg.schedule(LrSchedule.constant(0.1))
+        assert cfg.schedule(LrSchedule.constant(1.0)).entries == [(0, 1.0)]
 
     def test_rate_rejected_exactly_where_eps_over_rate_rounds_to_zero(self):
         # 1e-320 / 1e3 is a subnormal; 1e-320 / 1e4 rounds to 0
@@ -329,6 +345,12 @@ DIVERGING_RUNS = [
     (["toy-pow32", "--omega0", "[1.0]", "--bitwidth", "8", "--optimizer", "laq", "--eps", "1e-320",
       "--eta-schedule", "[[0,1.0]]", "--c", "1e-300"],
      "projection weights underflow: sum(d) / 16384 is 0 at step 1"),
+    # g* * g* overflows at the trial point, and at a = 1 the mixed metric
+    # is 1 * d + 0 * inf = NaN
+    (["toy-pow32", "--omega0", "[1e-200]", "--a", "1", "--c", "1e200"],
+     "metric is not finite at step 1"),
+    # both metrics are infinite from a zero start; at a = 0 the mix is 0 * inf + inf
+    (["toy-pow32", "--omega0", "[0]", "--a", "0", "--c", "1e300"], "metric is not finite at step 1"),
 ]
 
 
@@ -394,6 +416,18 @@ class TestCliLimits:
         ["toy2d", "--steps", "true"],
         ["toy2d", "--omega0", "[1" + "0" * 400 + "]"],
         ["toy2d", "--eps", "1" + "0" * 400],
+        # eps / rate overflows, so the metric D is infinite
+        ["toy-pow32", "--omega0", "[-0.0]", "--a", "1", "--eps", "1e10",
+         "--eta-schedule", "[[0,1e-300]]"],
+        ["toy2d", "--optimizer", "full-precision", "--eps", "1e10",
+         "--eta-schedule", "[[0,1e-300]]"],
+        ["toy2d", "--eps", "1e308"],            # against the default rate 0.1
+        # runs that would record more than MAX_TRACE_FLOATS floats
+        ["toy2d", "--steps", "1" + "0" * 400],
+        ["toy-pow32", "--steps", "1" + "0" * 400],
+        ["toy2d", "--sweep-bitwidths", "[1,2]", "--steps", "1" + "0" * 400],
+        ["theory-check", "--steps", "1" + "0" * 400],
+        ["theory-check", "--n-instances", "1" + "0" * 400],
     ])
     def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
@@ -456,6 +490,55 @@ class TestCliLimits:
                          "--output-dir", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["final_quarter_window"] == 1
+
+
+class Reached(Exception):
+    """Raised by a stand-in for the first stage after the size check."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+class TestRunSizeLimits:
+    """steps, epochs and n_instances each have a finite largest accepted
+    value, from the one budget theory.MAX_TRACE_FLOATS = 2^24 floats."""
+
+    def test_endless_steps_exit_two_at_once(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        code = cli_main(["toy2d", "--steps", "1" + "0" * 400, "--output-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: steps 1000")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("argv, first_rejected, stage, message", [
+        # toy2d records 3 x 2 floats per row, steps + 1 rows
+        (["toy2d", "--steps"], 2_796_202, (experiments, "run_toy_objective"),
+         "steps 2796202 on 2 weights record 16777218 floats"),
+        # 50 instances of 4 floats per row, steps + 1 rows
+        (["theory-check", "--steps"], 83_886, (theory, "draw_instance"),
+         "n_instances 50 of 83886 steps at theory_dim 4 record 16777400 floats"),
+        # 301 rows of 4 floats per instance
+        (["theory-check", "--n-instances"], 13_935, (theory, "draw_instance"),
+         "n_instances 13935 of 300 steps at theory_dim 4 record 16777740 floats"),
+        # one step per epoch (40 images, batch 128), 3 x 8 tracked floats per step
+        (["train-mnist", "--data-dir", "{data}", "--epochs"], 699_051,
+         (experiments, "train_classifier"),
+         "epochs 699051 of 1 steps at track_coords 8 record 16777224 floats"),
+    ])
+    def test_first_rejected_value(self, tmp_path, capsys, monkeypatch, argv, first_rejected,
+                                  stage, message):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"), n_train=40, n_test=20, seed=2)
+        argv = [a.format(data=data_dir) for a in argv]
+        out = tmp_path / "run"
+        monkeypatch.setattr(*stage, _reached)
+        with pytest.raises(Reached):
+            cli_main(argv + [str(first_rejected - 1), "--output-dir", str(out)])
+        assert cli_main(argv + [str(first_rejected), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}, above the limit of 16777216\n"
+        assert not out.exists()
 
 
 def _assert_same_run(first, second):
@@ -559,7 +642,8 @@ CONTRACT_OMEGA0 = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e-160, 0.3, -0.7
 def contract_sweep_runs(n=150, seed=0):
     """n seeded toy runs of 20 steps over CONTRACT_OMEGA0, bitwidths
     {1, 2, 3, 8, 16}, every optimizer, eps in {1e-320, 1e-8, 1e10}, rates
-    in {1e-300, 1, 1e100, 1e300} and c in {1e-300, 1e300}."""
+    in {1e-300, 1, 1e100, 1e300}, mixing coefficients a in {0, 0.6, 1}
+    and c in {1e-300, 1e300}."""
     rng = np.random.default_rng(seed)
 
     def pick(values):
@@ -573,7 +657,8 @@ def contract_sweep_runs(n=150, seed=0):
                 "--bitwidth", str(pick([1, 2, 3, 8, 16])),
                 "--optimizer", pick(["laq", "blaq", "full-precision"]),
                 "--eps", repr(pick([1e-320, 1e-8, 1e10])),
-                "--eta-schedule", json.dumps([[0, pick([1e-300, 1.0, 1e100, 1e300])]])]
+                "--eta-schedule", json.dumps([[0, pick([1e-300, 1.0, 1e100, 1e300])]]),
+                "--a", pick(["0", "0.6", "1"])]
         if experiment == "toy-pow32":
             argv += ["--c", repr(pick([1e-300, 1e300]))]
         yield argv
@@ -603,3 +688,41 @@ class TestExitCodeContract:
         assert code == 2
         assert err.startswith(f"error: {path}: negative dimension -1 at offset 4")
         assert "Traceback" not in err
+
+
+def _load_tool(name):
+    """A script of the repository's tools/ directory, as a module."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsVerdict:
+    """tools/bench_pairs.py: the regression verdict on fixed numbers."""
+
+    verdict = staticmethod(_load_tool("bench_pairs").regression_verdict)
+    # median 10.2, quartiles 10.05 and 10.35: an IQR of 0.3 against an
+    # allowance of 1.02 at bound 0.1
+    NARROW = [10.4, 10.0, 10.3, 10.1, 10.2]
+    # median 10, quartiles 6.5 and 13.5: an IQR of 7 against 1.0
+    WIDE = [5.0, 8.0, 10.0, 12.0, 15.0]
+
+    @pytest.mark.parametrize("parent, change, better, expected", [
+        (NARROW, [11.3, 11.3, 11.3], "lower", "worse by more than the bound"),
+        (NARROW, [11.2, 11.2, 11.2], "lower", "within bound"),
+        (NARROW, [9.0, 9.5, 12.0], "lower", "within bound"),
+        (NARROW, [9.1, 9.1, 9.1], "higher", "worse by more than the bound"),
+        (NARROW, [9.3, 9.3, 9.3], "higher", "within bound"),
+        (WIDE, [10.5, 10.5, 10.5], "lower", "unresolved"),
+        (WIDE, [9.5, 9.5, 9.5], "higher", "unresolved"),
+        (WIDE, [4.9, 4.9, 4.9], "lower", "within bound"),
+        (WIDE, [15.1, 15.1, 15.1], "higher", "within bound"),
+        (WIDE, [11.1, 11.1, 11.1], "lower", "worse by more than the bound"),
+        # exactly the bound is within it
+        ([10.0] * 5, [11.0] * 5, "lower", "within bound"),
+    ])
+    def test_verdicts(self, parent, change, better, expected):
+        assert self.verdict(parent, change, better, 0.1) == expected

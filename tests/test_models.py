@@ -1,10 +1,12 @@
 """Closed-form toy objectives against the same toys built on the autodiff graph."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from blaq.errors import NumericError
-from blaq.models import abs_power_objective, fig1_quadratic
+from blaq.models import ToyObjective, abs_power_objective, fig1_quadratic
 from helpers import graph_loss_and_grad, pow32_graph, same_bits, toy2d_graph
 
 POINTS = 10_000     # per toy; the 3/2-power toy's are split over c and dimension
@@ -88,6 +90,22 @@ def test_an_overflowing_gradient_raises():
     assert objective.loss_at([1.0]) == 1.7e308
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
         objective.grad_at([1.0])
+
+
+@pytest.mark.parametrize("n", [1, 4, 1024])
+@pytest.mark.parametrize("value, finite", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (1e308, True), (5e-324, True)])
+def test_gradient_check_verdict_without_warnings(n, value, finite):
+    grad = np.linspace(-1.0, 1.0, n)
+    grad[n // 2] = value
+    objective = ToyObjective(lambda w: 0.0, lambda w: grad, np.zeros(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            assert objective.grad_at(np.zeros(n)) is grad
+        else:
+            with pytest.raises(NumericError, match="^non-finite gradient$"):
+                objective.grad_at(np.zeros(n))
 
 
 def test_start_point_is_a_flat_copy():

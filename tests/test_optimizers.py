@@ -415,6 +415,22 @@ class TestLayerLists:
         with pytest.raises(NumericError, match=r"node 2 \(power\) at step 42"):
             step("blaq", state, grad, 0.6)
 
+    @pytest.mark.parametrize("kind, a", [
+        ("blaq", 1.0), ("blaq", 0.0), ("blaq", 0.6), ("laq", 0.6), ("full-precision", 0.6)])
+    def test_infinite_metric_is_a_numeric_error(self, kind, a):
+        # g * g overflows, so a metric is infinite; blaq's trial gradient is
+        # the large one, and at a = 1 its mix forms 0 * inf = NaN
+        state = fresh_layer(kind, [1.0, -1.0], kind != "full-precision")
+        calls = []
+
+        def grad(w):
+            calls.append(w)
+            return np.full(2, 1.0 if kind == "blaq" and len(calls) == 1 else 1e200)
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="^metric is not finite at step 1$"):
+            step(kind, state, grad, a)
+
     def test_breakpoint_limit_rejects_layer(self):
         grid = QuantGrid(16)
         n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1

@@ -219,6 +219,45 @@ class TestProject:
         with pytest.raises(ValueError):
             project(w, np.ones(3), QuantGrid(1))
 
+    # lengths on both sides of the size where the zero test changes form
+    CHECK_SIZES = [1, 4, IN_PLACE_MIN_SIZE, 3 * IN_PLACE_MIN_SIZE]
+
+    @pytest.mark.parametrize("n", CHECK_SIZES)
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, -1.0, -np.inf])
+    def test_non_positive_weight_keeps_its_message(self, n, bad):
+        w = np.linspace(-1.0, 2.0, n)
+        d = np.ones(n)
+        d[n // 3] = bad
+        with pytest.raises(ValueError) as exc:
+            project(w, d, QuantGrid(1))
+        assert str(exc.value) == "all weights d must be strictly positive"
+
+    @pytest.mark.parametrize("n", CHECK_SIZES)
+    def test_subnormal_and_infinite_weights_accepted(self, n):
+        w = np.ones(n)
+        for tiny in (np.full(n, 5e-324), np.concatenate([np.ones(n - 1), [5e-324]])):
+            code = project(w, tiny, QuantGrid(1))
+            assert code.alpha == 1.0 and (code.beta == 1.0).all()
+        # an infinite weight passes the argument check; the scale is then NaN
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="projection scale is not finite: nan"):
+            project(w, np.full(n, np.inf), QuantGrid(1))
+
+    @pytest.mark.parametrize("n", CHECK_SIZES)
+    def test_signed_zero_vector_takes_the_zero_code(self, n):
+        w = np.zeros(n)
+        w[::2] = -0.0
+        code = project(w, np.ones(n), QuantGrid(2))
+        assert code.alpha == ZERO_VECTOR_ALPHA and (code.beta == 1.0).all()
+
+    @pytest.mark.parametrize("n", CHECK_SIZES)
+    def test_one_nan_weight_is_not_the_zero_code(self, n):
+        w = np.zeros(n)
+        w[n - 1] = np.nan
+        with pytest.raises(NumericError) as exc:
+            project(w, np.ones(n), QuantGrid(1))
+        assert str(exc.value) == "projection scale is not finite: nan"
+
     @pytest.mark.parametrize("k, w", [
         (1, [np.inf, 1.0]), (1, [1e308, 1e308]), (1, [np.nan, 1.0]),
         (2, [np.inf, 1.0]), (2, [1e308, 1e308]), (2, [np.nan, 1.0]),

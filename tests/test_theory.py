@@ -6,10 +6,12 @@ import pytest
 from blaq.config import config_from_dict
 from blaq.curvature import LrSchedule
 from blaq.quantizer import QuantGrid, exhaustive_project
+from blaq import theory
 from blaq.theory import (DiagonalQuadratic, TheoryParams, _run_quantized,
                          check_instance, count_bound_violations, draw_instance,
                          quantized_loss_floor, run_suite, theorem1_bound,
                          theorem2_region)
+from helpers import count_bound_violations_per_step
 
 
 class TestBoundFormula:
@@ -181,3 +183,66 @@ class TestSuite:
         violations, checked = count_bound_violations(q, trace, schedule)
         assert checked > 0
         assert violations == 0
+
+
+class TestBoundCheckOverTheTrace:
+    """The whole-trace bound check against the per-step loop it replaced."""
+
+    def test_counts_equal_the_per_step_loop_on_seeded_traces(self):
+        rng = np.random.default_rng(22)
+        totals = np.zeros(2, dtype=int)
+        for i in range(200):
+            inst = draw_instance(rng, dim=int(rng.integers(2, 6)))
+            q = DiagonalQuadratic(inst["lam"], inst["center"])
+            # a one-row trace first; then walks around w* at many scales,
+            # with some rows on w* itself (delta = 0, so the bound is 0)
+            rows = 1 if i == 0 else int(rng.integers(2, 60))
+            scale = 10.0 ** rng.uniform(-3.0, 1.0, size=(rows, 1))
+            trace = q.center + rng.normal(size=(rows, len(q.center))) * scale
+            trace[rng.random(rows) < 0.1] = q.center
+            # one, two or three schedule entries, rates around the drawn one
+            starts = [0, *sorted(rng.choice(np.arange(1, 70), i % 3, replace=False))]
+            schedule = LrSchedule([(int(t), inst["eta0"] * rng.uniform(0.2, 3.0))
+                                   for t in starts])
+            got = count_bound_violations(q, trace, schedule)
+            assert got == count_bound_violations_per_step(q, trace, schedule), i
+            assert all(type(n) is int for n in got)
+            totals += got
+        # both outcomes occur, so the agreement is not vacuous
+        assert 0 < totals[0] < totals[1]
+
+    def test_zero_coefficient_rate_inside_a_three_entry_schedule(self):
+        # isotropic lam = 2 at eta = 1/2: L1 + L1^3 eta^2 - 2 mu^2 eta = 0,
+        # so steps 3-5 have bound 0 and are not checked
+        q = DiagonalQuadratic([2.0, 2.0], [0.3, -0.4])
+        assert theorem1_bound(TheoryParams(2.0, 2.0, 0.5, 1.0)) == 0.0
+        schedule = LrSchedule([(0, 0.3), (3, 0.5), (6, 1.0)])
+        trace = q.center + np.random.default_rng(5).normal(size=(9, 2))
+        assert count_bound_violations(q, trace, schedule) == \
+            count_bound_violations_per_step(q, trace, schedule)
+        assert count_bound_violations(q, trace, schedule)[1] == 5
+
+    def test_one_bound_per_distinct_rate(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p.eta)
+            return theorem1_bound(p)
+
+        monkeypatch.setattr(theory, "theorem1_bound", counting)
+        q = DiagonalQuadratic([3.0, 1.0], [0.5, 0.5])
+        schedule = LrSchedule([(0, 0.4), (10, 0.2), (20, 0.4)])
+        count_bound_violations(q, np.zeros((40, 2)), schedule)
+        assert sorted(calls) == [0.2, 0.4]
+
+    def test_run_without_trace_ends_in_the_same_state(self):
+        rng = np.random.default_rng(6)
+        inst = draw_instance(rng)
+        q = DiagonalQuadratic(inst["lam"], inst["center"])
+        schedule = LrSchedule.constant(inst["eta0"])
+        runs = [_run_quantized(q, "laq", inst["a"], schedule, inst["w0"], theory_cfg(), 40,
+                               keep_trace=keep) for keep in (True, False)]
+        (kept, trace), (bare, none) = runs
+        assert none is None and trace.shape == (41, len(inst["w0"]))
+        assert np.array_equal(trace[-1], kept.w)
+        assert np.array_equal(kept.w, bare.w) and kept.code.alpha == bare.code.alpha

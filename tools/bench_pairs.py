@@ -12,7 +12,10 @@ BENCHMARK.json it prints the median of each side, the parent's quartiles,
 the number of pairs the change wins and every pair's values; then the
 failed and attempted operations of each side.  A claimed gain holds when
 the change wins at least 9 of 10 pairs and the medians differ by more
-than the parent's interquartile range.
+than the parent's interquartile range.  Each metric also gets a
+regression verdict against its `bound` (`regression_verdict`): worse by
+more than the bound, within bound, or unresolved when the parent's runs
+spread wider than the bound.
 """
 
 from __future__ import annotations
@@ -44,6 +47,30 @@ def quartiles(values):
     return q1, q3
 
 
+def regression_verdict(parent, change, better, bound):
+    """Regression verdict of one metric from the parent's and the change's
+    values, `better` "lower" or "higher", `bound` a fraction of the
+    parent's median:
+
+    * "worse by more than the bound": the change's median is worse than
+      the parent's by more than bound x the parent's median;
+    * "unresolved": otherwise, when the parent's interquartile range is
+      wider than that and the change's median does not beat every parent
+      run, so the runs cannot tell a change within the bound from noise;
+    * "within bound": otherwise.
+    """
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    allowed = bound * abs(p_med)
+    worse = (c_med - p_med) if better == "lower" else (p_med - c_med)
+    if worse > allowed:
+        return "worse by more than the bound"
+    q1, q3 = quartiles(parent)
+    beats_all = all((c_med < p) if better == "lower" else (c_med > p) for p in parent)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(spec, parent, change):
     """One line for an end-to-end metric over the paired results."""
     name = spec["name"]
@@ -55,11 +82,13 @@ def summarize(spec, parent, change):
     q1, q3 = quartiles(p)
     gain = (p_med - c_med) if lower else (c_med - p_med)
     verdict = "gain" if wins >= 0.9 * len(p) and gain > q3 - q1 else "no gain"
+    regression = regression_verdict(p, c, spec["better"], spec["bound"])
     pairs = " ".join(f"{pv:.4g}/{cv:.4g}" for pv, cv in zip(p, c))
     rel = (c_med - p_med) / p_med if p_med else float("nan")
     return (f"{name} [{spec['unit']}, {spec['better']} is better]: parent median {p_med:.4g} "
             f"(q1 {q1:.4g}, q3 {q3:.4g}), change median {c_med:.4g} ({rel:+.1%}), "
-            f"change wins {wins}/{len(p)}: {verdict}\n  pairs parent/change: {pairs}")
+            f"change wins {wins}/{len(p)}: {verdict}; bound {spec['bound']:g}: {regression}"
+            f"\n  pairs parent/change: {pairs}")
 
 
 def main(argv=None):

@@ -71,6 +71,8 @@ RUNS = [
     ("diverge-pow32-c", ["toy-pow32", "--c", "1e308", "--omega0", "[1e10]"]),
     ("theory-default", ["theory-check"]),
     ("theory-k2", ["theory-check", "--bitwidth", "2", "--n-instances", "10"]),
+    # two-row traces: the bound check's first and last step are one step
+    ("theory-one-step", ["theory-check", "--steps", "1", "--n-instances", "3"]),
     # every suite key off its default, so a key read from the wrong place shows
     ("theory-keys", ["theory-check", "--theory-dim", "6", "--n-instances", "5", "--seed", "3",
                      "--beta2", "0.9", "--eps", "1e-6", "--steps", "60"]),
