@@ -37,6 +37,19 @@ def _is_finite_number(x):
     return isinstance(x, float) and math.isfinite(x)
 
 
+def check_rate(what, rate, eps):
+    """ConfigError unless eps / rate is a positive finite number: the
+    metric D = (sqrt(v_hat) + eps) / rate is never below it, so a rate
+    where it rounds to 0 or overflows could give a zero or an infinite D.
+    `what` names the rate in the message."""
+    if eps / rate == 0.0:
+        raise ConfigError(f"{what} {rate} is too large for eps {eps}: "
+                          f"eps / rate rounds to 0, so the metric D could be 0")
+    if eps / rate == math.inf:
+        raise ConfigError(f"{what} {rate} is too small for eps {eps}: "
+                          f"eps / rate overflows, so the metric D is infinite")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated knobs for one experiment run.
@@ -142,13 +155,7 @@ class ExperimentConfig:
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad eta_schedule: {e}") from e
         for _, rate in schedule.entries:
-            # D = (sqrt(v_hat) + eps) / rate is never below eps / rate
-            if self.eps / rate == 0.0:
-                raise ConfigError(f"eta_schedule rate {rate} is too large for eps {self.eps}: "
-                                  f"eps / rate rounds to 0, so the metric D could be 0")
-            if self.eps / rate == math.inf:
-                raise ConfigError(f"eta_schedule rate {rate} is too small for eps {self.eps}: "
-                                  f"eps / rate overflows, so the metric D is infinite")
+            check_rate("eta_schedule rate", rate, self.eps)
         return schedule
 
     def echo(self, **resolved):

@@ -121,12 +121,6 @@ class CurvatureState:
         v += fresh
         return self._diagonal(v, self.step + 1, out=v)
 
-    def d_hat(self):
-        """Diagonal for the current statistics (no state change)."""
-        if self.step == 0:
-            raise ValueError("no update has been applied yet")
-        return self._diagonal(self.v, self.step)
-
     def _fresh(self, g):
         """(1-beta2)*g*g for a checked gradient g, in a new array."""
         g = np.asarray(g, dtype=np.float64)

@@ -23,7 +23,7 @@ from .models import TOY2D_QUADRATIC, abs_power_objective, fig1_quadratic
 from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid
 from .theory import check_trace_floats, quantized_loss_floor, run_suite
-from .training import train_classifier
+from .training import steps_per_epoch, train_classifier
 
 TRAJECTORY_HEADER = "step,loss,coord_id,w,w_hat,delta_w"
 TRAINING_HEADER = "epoch,train_loss,test_accuracy"
@@ -104,12 +104,11 @@ def run_toy_objective(objective, cfg, schedule, steps):
     w0 = objective.w0
     grid = None if cfg.optimizer == "full-precision" else QuantGrid(cfg.bitwidth)
     state = new_layer(w0, grid, CurvatureState(len(w0), schedule, cfg.beta2, cfg.eps))
-    record = TrajectoryRecord()
+    record = TrajectoryRecord(w0)
 
     def observe(t):
         levels = state.w if grid is None else state.code.beta
-        prev_w = record.w[-1] if t else w0
-        record.append(t, objective.loss_at(state.w_hat()), state.w, levels, state.w - prev_w)
+        record.append(t, objective.loss_at(state.w_hat()), state.w, levels)
 
     run_steps(cfg.optimizer, state, objective.grad_at, cfg.a, steps, observe)
     return state, record
@@ -253,12 +252,12 @@ def run_train_mnist(cfg, dataset=None):
                     f"{mnist_io.DATA_DIR_ENV}, or fetch_url")
         dataset = mnist_io.load_mnist(data_dir)
 
-    steps_per_epoch = int(np.ceil(len(dataset.train_images) / cfg.batch_size))
+    per_epoch = steps_per_epoch(len(dataset.train_images), cfg.batch_size)
     # the trajectory: w, its levels and the update of each tracked weight
-    check_trace_floats(3 * cfg.track_coords * cfg.epochs * steps_per_epoch,
-                       f"epochs {cfg.epochs} of {steps_per_epoch} steps at track_coords "
+    check_trace_floats(3 * cfg.track_coords * cfg.epochs * per_epoch,
+                       f"epochs {cfg.epochs} of {per_epoch} steps at track_coords "
                        f"{cfg.track_coords}")
-    schedule = cfg.schedule(mnist_default_schedule(steps_per_epoch))
+    schedule = cfg.schedule(mnist_default_schedule(per_epoch))
     result = train_classifier(dataset, cfg, schedule)
 
     total_steps = len(result.trajectory)
@@ -266,17 +265,17 @@ def run_train_mnist(cfg, dataset=None):
     flips = {str(cid): flip_count(result.trajectory, j, quarter)
              for j, cid in enumerate(result.tracked_coords)}
     metrics = {
-        "final_test_accuracy": result.final_accuracy,
+        "final_test_accuracy": result.epoch_rows[-1][2],
         "tracked_coords": result.tracked_coords,
         "final_quarter_window": quarter,
         "flip_count_final_quarter": flips,
         "layer_alphas": result.layer_alphas,
-        "steps_per_epoch": result.steps_per_epoch,
+        "steps_per_epoch": per_epoch,
     }
     out = _out_dir(cfg)
     write_json(os.path.join(out, "config.json"),
                cfg.echo(resolved_eta_schedule=schedule.as_pairs(),
-                        resolved_steps_per_epoch=steps_per_epoch))
+                        resolved_steps_per_epoch=per_epoch))
     write_training_csv(os.path.join(out, "training.csv"), result.epoch_rows)
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), result.trajectory,
                          result.tracked_coords)

@@ -1,13 +1,14 @@
 """Zig-zag diagnostics over recorded optimization trajectories.
 
 A TrajectoryRecord keeps per-step snapshots of the tracked coordinates:
-the full-precision value, the quantized code level, and the step delta.
-The quantized snapshot stores the grid level (code) of each coordinate
-rather than the scale-times-code product: the layer scale drifts by a
-tiny amount on every step, so counting raw value changes would register
-a flip at every step for any moving optimizer and say nothing about
-oscillation.  Level changes are exactly the sign flips of the 1-bit
-case, generalized to finer grids.
+the full-precision value and the quantized code level; the step deltas
+are derived from the values and the start.  The quantized snapshot
+stores the grid level (code) of each coordinate rather than the
+scale-times-code product: the layer scale drifts by a tiny amount on
+every step, so counting raw value changes would register a flip at
+every step for any moving optimizer and say nothing about oscillation.
+Level changes are exactly the sign flips of the 1-bit case, generalized
+to finer grids.
 """
 
 from __future__ import annotations
@@ -16,37 +17,39 @@ import numpy as np
 
 
 class TrajectoryRecord:
-    """Per-step log: (step index, loss, w, quantized level, delta w).
+    """Per-step log of the coordinates that start at `start`: (step index,
+    loss, w, quantized level).
 
-    `w`, `w_hat` and `updates` are 2-D float64 arrays, one row of the
-    first w's width per step, views of buffers that double when full."""
+    `w` and `w_hat` are 2-D float64 arrays, one row of `start`'s width per
+    step, views of buffers that double when full.  `updates` is derived:
+    each row of w minus the row before it, the first row minus `start`."""
 
-    def __init__(self):
+    def __init__(self, start):
+        self.start = np.array(start, dtype=np.float64).reshape(-1)
         self.steps = []
         self.losses = []
-        self._w = self._w_hat = self._updates = np.empty((0, 0))
+        self._w = self._w_hat = np.empty((0, self.start.size))
 
-    def append(self, step, loss, w, w_hat, update):
+    def append(self, step, loss, w, w_hat):
         n = len(self.steps)
         if n and step <= self.steps[-1]:
             raise ValueError(f"step indices must be strictly increasing, got {step}")
-        w, w_hat, update = np.asarray(w), np.asarray(w_hat), np.asarray(update)
-        width = self._w.shape[1] if n else w.size
-        if w.size != width or w_hat.size != width or update.size != width:
-            raise ValueError(f"w, w_hat and update must each hold {width} entries")
+        w, w_hat = np.asarray(w), np.asarray(w_hat)
+        width = self.start.size
+        if w.size != width or w_hat.size != width:
+            raise ValueError(f"w and w_hat must each hold {width} entries")
         if n == len(self._w):       # full: double the buffers, from 64 rows
-            self._w, self._w_hat, self._updates = (
-                np.concatenate([rows.reshape(n, width), np.empty((max(n, 64), width))])
-                for rows in (self._w, self._w_hat, self._updates))
+            self._w, self._w_hat = (
+                np.concatenate([rows, np.empty((max(n, 64), width))])
+                for rows in (self._w, self._w_hat))
         self._w[n] = w.reshape(-1)
         self._w_hat[n] = w_hat.reshape(-1)
-        self._updates[n] = update.reshape(-1)
         self.steps.append(int(step))
         self.losses.append(float(loss))
 
     w = property(lambda self: self._w[:len(self.steps)])
     w_hat = property(lambda self: self._w_hat[:len(self.steps)])
-    updates = property(lambda self: self._updates[:len(self.steps)])
+    updates = property(lambda self: np.diff(self.w, axis=0, prepend=self.start[None]))
 
     def __len__(self):
         return len(self.steps)

@@ -22,7 +22,8 @@ of a network take the same step.
 * `new_layer(w0, grid, curvature)` — the one layer constructor: a layer
   on `grid`, or a full-precision layer when `grid` is None.
 * `run_steps(kind, states, grad_at, a, steps, observe)` — the one step
-  driver, with a per-step observer.
+  driver, with a per-step observer; it owns the step number, which every
+  NumericError it passes on names.
 
 The asymmetry of base points (quantized for LAQ, full-precision for the
 backtracking variant) is deliberate and load-bearing.
@@ -50,7 +51,6 @@ class LayerQuantState:
     grid: QuantGrid
     g_hat: np.ndarray | None = None
     d_hat: np.ndarray | None = None
-    step_count: int = 0
 
     @classmethod
     def initialize(cls, w0, grid, curvature):
@@ -90,7 +90,6 @@ class FullPrecisionState:
     curvature: CurvatureState
     g_hat: np.ndarray | None = None
     d_hat: np.ndarray | None = None
-    step_count: int = 0
 
     def w_hat(self):
         return self.w
@@ -137,7 +136,6 @@ def _proximal_step(states, grad_at):
         d = _finite_metric(s.curvature.update(g))
         s.g_hat, s.d_hat = g, d
         s.place(w_hat - g / d, d)
-        s.step_count += 1
     return states
 
 
@@ -175,7 +173,6 @@ def blaq_step(states, grad_at, a):
         s.g_hat = a_now * s.g_hat + a_trial * g_star
         s.d_hat = _finite_metric(a_now * s.d_hat + a_trial * d_star)
         s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
-        s.step_count += 1
     return states
 
 
@@ -186,31 +183,24 @@ def full_precision_step(states, grad_at):
 
 def step(kind, states, grad_at, a):
     """One step of optimizer `kind` ("laq", "blaq" or "full-precision");
-    only the backtracking step reads the mixing coefficient `a`.
-
-    A NumericError raised inside the step gains the step number.
-    """
-    number = (states[0] if isinstance(states, list) else states).step_count + 1
-    try:
-        if kind == "laq":
-            return laq_step(states, grad_at)
-        if kind == "blaq":
-            return blaq_step(states, grad_at, a)
-        if kind == "full-precision":
-            return full_precision_step(states, grad_at)
-    except NumericError as e:
-        raise NumericError(f"{e} at step {number}") from e
+    only the backtracking step reads the mixing coefficient `a`."""
+    if kind == "laq":
+        return laq_step(states, grad_at)
+    if kind == "blaq":
+        return blaq_step(states, grad_at, a)
+    if kind == "full-precision":
+        return full_precision_step(states, grad_at)
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
 def run_steps(kind, states, grad_at, a, steps, observe):
     """Call `observe(0)`, then for t = 1..steps take one `step` and call
-    `observe(t)`; returns the states.  A NumericError raised by
-    `observe(t)` gains the step number t."""
+    `observe(t)`; returns the states.  A NumericError raised by step t or
+    by `observe(t)` gains the step number t."""
     for t in range(steps + 1):
-        if t:
-            step(kind, states, grad_at, a)
         try:
+            if t:
+                step(kind, states, grad_at, a)
             observe(t)
         except NumericError as e:
             raise NumericError(f"{e} at step {t}") from e

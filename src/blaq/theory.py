@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_rate
 from .curvature import CurvatureState, LrSchedule
 from .errors import ConfigError
 from .optimizers import new_layer, run_steps
@@ -188,7 +189,9 @@ def check_instance(lam, center, w0, eta0, a, cfg, steps):
     """Run one instance under a validated config; returns a JSON-ready row.
 
     If the admissible interval for the given (L1, eta0) is empty the
-    instance is reported as skipped rather than failed.
+    instance is reported as skipped rather than failed.  A drawn rate
+    eta0 that the config's eps fails `config.check_rate` is a ConfigError,
+    raised before the instance runs.
     """
     objective = DiagonalQuadratic(lam, center)
     region = theorem2_region(objective.L1, eta0)
@@ -203,6 +206,7 @@ def check_instance(lam, center, w0, eta0, a, cfg, steps):
         row["skipped"] = True
         row["reason"] = "empty mixing interval (L1*eta <= 1)"
         return row
+    check_rate("the suite's drawn rate", eta0, cfg.eps)
     schedule = LrSchedule.constant(eta0)
     blaq_state, blaq_trace = _run_quantized(objective, "blaq", a, schedule, w0, cfg, steps)
     laq_state, _ = _run_quantized(objective, "laq", a, schedule, w0, cfg, steps,

@@ -2,17 +2,18 @@
 
 Each weight matrix is a layer on the config's grid (full-precision for
 the full-precision baseline) and each bias a full-precision layer, all
-built by `optimizers.new_layer`; one call of `optimizers.step` per
-minibatch moves them all, with a joint gradient from one network
+built by `optimizers.new_layer`; `optimizers.run_steps` takes one step
+per minibatch and moves them all, with a joint gradient from one network
 evaluation.  The loss-aware step therefore evaluates the network once per
 minibatch and the backtracking step exactly twice (current point, then
 every layer's trial point, biases included).  The trainer does no update
-arithmetic of its own.
+arithmetic of its own: its observer records each step, closes each epoch
+and draws the next minibatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import ConfigError
 from .metrics import TrajectoryRecord, sample_coordinates
 from .mnist import pixels_to_float
 from .models import MlpClassifier
-from .optimizers import new_layer, step
+from .optimizers import new_layer, run_steps
 from .quantizer import QuantGrid
 
 # Largest weight matrix, fan_in x fan_out, the trainer builds.
@@ -30,12 +31,16 @@ MAX_LAYER_WEIGHTS = 2 ** 24
 
 @dataclass
 class TrainResult:
-    epoch_rows: list = field(default_factory=list)   # (epoch, train_loss, test_accuracy)
-    trajectory: TrajectoryRecord = field(default_factory=TrajectoryRecord)
-    tracked_coords: list = field(default_factory=list)   # global flat indices
-    final_accuracy: float = 0.0
-    layer_alphas: list = field(default_factory=list)
-    steps_per_epoch: int = 0
+    epoch_rows: list                # (epoch, train_loss, test_accuracy)
+    trajectory: TrajectoryRecord
+    tracked_coords: list            # global flat indices
+    layer_alphas: list
+
+
+def steps_per_epoch(n_train, batch_size):
+    """Minibatches in one pass over n_train images, the last one short
+    when batch_size does not divide n_train."""
+    return -(-n_train // batch_size)
 
 
 def train_classifier(dataset, cfg, schedule):
@@ -65,7 +70,6 @@ def train_classifier(dataset, cfg, schedule):
     grid = QuantGrid(cfg.bitwidth) if quantize else None
     weights = [initial_state(name, grid) for name in model.weight_names]
     states = weights + [initial_state(name, None) for name in model.bias_names]
-    n_weights = len(weights)
 
     offsets = np.cumsum([0] + [s.w.size for s in weights])
     track_rng = np.random.default_rng(track_seed)
@@ -83,43 +87,45 @@ def train_classifier(dataset, cfg, schedule):
 
     def split(points):
         """Weight and bias vectors of a joint point list."""
-        return points[:n_weights], points[n_weights:]
+        return points[:len(weights)], points[len(weights):]
 
-    def test_accuracy():
-        return model.accuracy(dataset.test_images, dataset.test_labels,
-                              *split([s.w_hat() for s in states]))
-
-    result = TrainResult(tracked_coords=coords)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(dataset.train_images)
-    t = 0
-    prev_w = tracked_values(False)
+    per_epoch = steps_per_epoch(n, cfg.batch_size)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            x, y = pixels_to_float(dataset.train_images[idx]), dataset.train_labels[idx]
-            losses = []
+    def minibatches():
+        """(pixels, labels) of every step: a fresh permutation per epoch,
+        cut into batch_size slices."""
+        for _ in range(cfg.epochs):
+            perm = shuffle_rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                yield pixels_to_float(dataset.train_images[idx]), dataset.train_labels[idx]
 
-            def grad_at(points):
-                loss, wg, bg = model.eval_batch(x, y, *split(points))
-                losses.append(loss)
-                return wg + bg
+    batches = minibatches()
+    batch, losses = None, []    # the current minibatch and its evaluations' losses
+    result = TrainResult([], TrajectoryRecord(tracked_values(False)), coords, [])
 
-            step(cfg.optimizer, states, grad_at, cfg.a)
-            loss = losses[0]
-            epoch_losses.append(loss)
+    def grad_at(points):
+        loss, wg, bg = model.eval_batch(*batch, *split(points))
+        losses.append(loss)
+        return wg + bg
 
-            cur_w = tracked_values(False)
-            result.trajectory.append(t, loss, cur_w, tracked_values(quantize), cur_w - prev_w)
-            prev_w = cur_w
-            t += 1
+    def observe(t):
+        """Record step t - 1 with its first evaluation's loss, close the
+        epoch it ends, then draw the minibatch of step t + 1."""
+        nonlocal batch
+        if t:
+            result.trajectory.append(t - 1, losses[0], tracked_values(False),
+                                     tracked_values(quantize))
+            losses.clear()
+            if t % per_epoch == 0:
+                epoch_loss = float(np.mean(result.trajectory.losses[-per_epoch:]))
+                accuracy = model.accuracy(dataset.test_images, dataset.test_labels,
+                                          *split([s.w_hat() for s in states]))
+                result.epoch_rows.append((t // per_epoch, epoch_loss, accuracy))
+        batch = next(batches, None)
 
-        result.epoch_rows.append((epoch, float(np.mean(epoch_losses)), test_accuracy()))
-
-    result.final_accuracy = result.epoch_rows[-1][2]
+    run_steps(cfg.optimizer, states, grad_at, cfg.a, cfg.epochs * per_epoch, observe)
     result.layer_alphas = [float(s.code.alpha) if quantize else None for s in weights]
-    result.steps_per_epoch = int(np.ceil(n / cfg.batch_size))
     return result

@@ -116,8 +116,6 @@ class TestCurvatureUpdate:
             CurvatureState(2, LrSchedule.constant(0.1), beta2=1.0)
         with pytest.raises(ValueError):
             CurvatureState(2, LrSchedule.constant(0.1), eps=0.0)
-        with pytest.raises(ValueError):
-            CurvatureState(2, LrSchedule.constant(0.1)).d_hat()
 
 
 def _reference_update(v, step, g, beta2, eps, schedule):

@@ -351,6 +351,8 @@ DIVERGING_RUNS = [
      "metric is not finite at step 1"),
     # both metrics are infinite from a zero start; at a = 0 the mix is 0 * inf + inf
     (["toy-pow32", "--omega0", "[0]", "--a", "0", "--c", "1e300"], "metric is not finite at step 1"),
+    # eps / rate is finite for every drawn rate; the projection's sums overflow
+    (["theory-check", "--eps", "1e307"], "projection scale is not finite: nan at step 1"),
 ]
 
 
@@ -374,6 +376,18 @@ class TestCliLimits:
         assert out.returncode == 3
         assert out.stderr.splitlines()[0].startswith("diverged: ")
         assert "Warning" not in out.stderr
+
+    def test_trainer_divergence_names_the_step(self, tmp_path, capsys):
+        data_dir = make_synthetic_fixture(str(tmp_path / "data"),
+                                          n_train=40, n_test=20, seed=2)
+        out = tmp_path / "run"
+        code = cli_main(["train-mnist", "--eta-schedule", "[[0,1e300]]", "--data-dir", data_dir,
+                         "--output-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith("diverged: ") and err[0].endswith(" at step 1")
+        assert not out.exists()
 
     def test_sweep_breakpoint_limit_exit_two(self, tmp_path, capsys):
         data_dir = make_synthetic_fixture(str(tmp_path / "data"),
@@ -428,6 +442,8 @@ class TestCliLimits:
         ["toy2d", "--sweep-bitwidths", "[1,2]", "--steps", "1" + "0" * 400],
         ["theory-check", "--steps", "1" + "0" * 400],
         ["theory-check", "--n-instances", "1" + "0" * 400],
+        # eps / rate overflows at every rate c/L1 the theorem suite draws
+        ["theory-check", "--eps", "1e308"],
     ])
     def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])

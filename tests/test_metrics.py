@@ -6,49 +6,71 @@ import pytest
 from blaq.metrics import (TrajectoryRecord, direction_change_count, flip_count,
                           oscillation_amplitude, sample_coordinates,
                           steps_to_tolerance)
+from helpers import same_bits
 
 
-def record_from(w_traces, w_hat_traces=None, losses=None, updates=None):
-    """Build a record from per-step coordinate rows."""
+def record_from(w_traces, w_hat_traces=None, losses=None, start=None):
+    """Build a record from per-step coordinate rows, started at `start`
+    (default the first row, so that the first update is zero)."""
     w_traces = np.atleast_2d(np.asarray(w_traces, dtype=np.float64))
     n = w_traces.shape[0]
     w_hat_traces = w_traces if w_hat_traces is None else np.atleast_2d(np.asarray(w_hat_traces, float))
     losses = np.zeros(n) if losses is None else losses
-    if updates is None:
-        updates = np.vstack([np.zeros((1, w_traces.shape[1])), np.diff(w_traces, axis=0)])
-    rec = TrajectoryRecord()
+    rec = TrajectoryRecord(w_traces[0] if start is None else start)
     for t in range(n):
-        rec.append(t, losses[t], w_traces[t], w_hat_traces[t], updates[t])
+        rec.append(t, losses[t], w_traces[t], w_hat_traces[t])
     return rec
+
+
+def rows_with_updates(updates):
+    """w rows from a zero start whose differences are `updates`."""
+    return np.cumsum(np.asarray(updates, dtype=np.float64), axis=0)
 
 
 class TestRecord:
     def test_strictly_increasing_steps(self):
-        rec = TrajectoryRecord()
-        rec.append(0, 0.0, [1.0], [1.0], [0.0])
+        rec = TrajectoryRecord([1.0])
+        rec.append(0, 0.0, [1.0], [1.0])
         with pytest.raises(ValueError):
-            rec.append(0, 0.0, [1.0], [1.0], [0.0])
+            rec.append(0, 0.0, [1.0], [1.0])
 
     def test_constant_dimensions(self):
-        rec = TrajectoryRecord()
-        rec.append(0, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
+        rec = TrajectoryRecord([1.0, 2.0])
+        rec.append(0, 0.0, [1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            rec.append(1, 0.0, [1.0], [1.0], [0.0])
+            rec.append(1, 0.0, [1.0], [1.0])
 
     def test_update_width_is_checked(self):
-        rec = TrajectoryRecord()
-        rec.append(0, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
+        # an update is w minus the row before it, so w must have the
+        # start's width, and w_hat with it
+        rec = TrajectoryRecord([1.0, 2.0])
         with pytest.raises(ValueError, match="must each hold 2 entries"):
-            rec.append(1, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, 0.0, 0.0])
+            rec.append(0, 0.0, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        rec.append(0, 0.0, [1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="must each hold 2 entries"):
+            rec.append(1, 0.0, [1.0, 2.0], [1.0, 1.0, 1.0])
         assert len(rec) == 1
 
     def test_rows_survive_the_buffer_growing(self):
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(3, 200, 2))
-        rec = record_from(rows[0], rows[1], updates=rows[2])
+        rec = record_from(rows[0], rows[1], start=rows[2][0])
         assert rec.w.shape == (200, 2)
         assert np.array_equal(rec.w, rows[0]) and np.array_equal(rec.w_hat, rows[1])
-        assert np.array_equal(rec.updates, rows[2])
+        assert np.array_equal(rec.updates[1:], rows[0][1:] - rows[0][:-1])
+
+    def test_updates_are_the_runners_differences_bit_for_bit(self):
+        # the oracle: each w minus the row recorded before it, the start before the first
+        rng = np.random.default_rng(7)
+        start = rng.normal(size=3)
+        rows = start + np.cumsum(rng.normal(size=(200, 3)) * 1e-3, axis=0)
+        rec, prev_w, stored = TrajectoryRecord(start), start, []
+        for t, w in enumerate(rows):
+            rec.append(t, 0.0, w, w)
+            stored.append(w - prev_w)
+            prev_w = rec.w[-1]
+        assert same_bits(rec.updates, np.array(stored))
+        assert not np.array_equal(rec.updates[0], np.zeros(3))
 
 
 class TestOscillationAmplitude:
@@ -106,15 +128,15 @@ class TestFlipCount:
 
 class TestDirectionChanges:
     def test_opposed_updates(self):
-        rec = record_from(np.zeros((2, 2)), updates=[[1.0, 0.0], [-1.0, 0.1]])
+        rec = record_from(rows_with_updates([[1.0, 0.0], [-1.0, 0.1]]), start=[0.0, 0.0])
         assert direction_change_count(rec, 2) == 1
 
     def test_orthogonal_not_counted(self):
-        rec = record_from(np.zeros((2, 2)), updates=[[1.0, 0.0], [0.0, 1.0]])
+        rec = record_from(rows_with_updates([[1.0, 0.0], [0.0, 1.0]]), start=[0.0, 0.0])
         assert direction_change_count(rec, 2) == 0
 
     def test_identical_updates(self):
-        rec = record_from(np.zeros((4, 2)), updates=[[1.0, 1.0]] * 4)
+        rec = record_from(rows_with_updates([[1.0, 1.0]] * 4), start=[0.0, 0.0])
         assert direction_change_count(rec, 4) == 0
 
     def test_needs_two_updates(self):
@@ -124,7 +146,7 @@ class TestDirectionChanges:
 
     def test_bounded_by_window(self):
         rng = np.random.default_rng(2)
-        rec = record_from(np.zeros((20, 3)), updates=rng.normal(size=(20, 3)))
+        rec = record_from(rows_with_updates(rng.normal(size=(20, 3))), start=np.zeros(3))
         assert direction_change_count(rec, 20) <= 19
 
 
@@ -138,9 +160,9 @@ class TestStepsToTolerance:
         assert steps_to_tolerance(rec, 0.0, 1.0) is None
 
     def test_reports_recorded_step_index(self):
-        rec = TrajectoryRecord()
+        rec = TrajectoryRecord([0.0])
         for step, loss in ((10, 5.0), (20, 0.5), (30, 0.1)):
-            rec.append(step, loss, [0.0], [1.0], [0.0])
+            rec.append(step, loss, [0.0], [1.0])
         assert steps_to_tolerance(rec, 0.0, 1.0) == 20
 
     def test_tolerance_must_be_positive(self):

@@ -236,14 +236,14 @@ class TestBlaqStep:
         grad = CountingGrad(fig1_quadratic().grad_at)
         with pytest.raises(ValueError, match="mixing coefficient"):
             blaq_step(state, grad, a)
-        assert grad.calls == 0 and state.step_count == 0
+        assert grad.calls == 0 and state.curvature.step == 0
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_mixing_coefficient_endpoints_run(self, a):
         state = LayerQuantState.initialize(
             np.array([1.0, 1.0]), QuantGrid(1), CurvatureState(2, LrSchedule.constant(0.1)))
         blaq_step(state, fig1_quadratic().grad_at, a)
-        assert state.step_count == 1
+        assert state.curvature.step == 1
 
 
 class TestFullPrecision:
@@ -298,14 +298,14 @@ class TestPow32Counterexample:
             obj = abs_power_objective(c=1.0, w0=[0.5])
             state = LayerQuantState.initialize(
                 np.array([0.5]), grid, CurvatureState(1, LrSchedule.constant(0.01)))
-            record = TrajectoryRecord()
-            record.append(0, 0.0, state.w, state.code.beta, np.zeros(1))
+            record = TrajectoryRecord(state.w)
+            record.append(0, 0.0, state.w, state.code.beta)
             for t in range(1, 1001):
                 if kind == "laq":
                     laq_step(state, obj.grad_at)
                 else:
                     blaq_step(state, obj.grad_at, 0.6)
-                record.append(t, 0.0, state.w, state.code.beta, np.zeros(1))
+                record.append(t, 0.0, state.w, state.code.beta)
             return flip_count(record, 0, 100)
 
         assert flips("laq") >= 50
@@ -345,7 +345,7 @@ class TestLayerLists:
             assert np.array_equal(j.w, s.w)
             assert np.array_equal(j.g_hat, s.g_hat)
             assert np.array_equal(j.d_hat, s.d_hat)
-            assert j.step_count == s.step_count == 6
+            assert j.curvature.step == s.curvature.step == 6
         if quantized[0]:
             assert joint[0].code.alpha == alone[0].code.alpha
             assert np.array_equal(joint[0].code.beta, alone[0].code.beta)
@@ -407,13 +407,19 @@ class TestLayerLists:
             step("sgd", state, fig1_quadratic().grad_at, 0.6)
 
     def test_divergence_names_the_step(self):
+        # blaq evaluates twice per step, so call 83 is the first of step 42
+        objective, calls = fig1_quadratic(), []
+
         def grad(w):
-            raise NumericError("non-finite value at node 2 (power)")
+            calls.append(w)
+            if len(calls) == 83:
+                raise NumericError("non-finite value at node 2 (power)")
+            return objective.grad_at(w)
 
         state = fresh_layer("blaq", [1.0, 1.0], True)
-        state.step_count = 41
-        with pytest.raises(NumericError, match=r"node 2 \(power\) at step 42"):
-            step("blaq", state, grad, 0.6)
+        with pytest.raises(NumericError, match=r"node 2 \(power\) at step 42$"):
+            run_steps("blaq", state, grad, 0.6, 50, lambda t: None)
+        assert state.curvature.step == 41
 
     @pytest.mark.parametrize("kind, a", [
         ("blaq", 1.0), ("blaq", 0.0), ("blaq", 0.6), ("laq", 0.6), ("full-precision", 0.6)])
@@ -429,7 +435,7 @@ class TestLayerLists:
 
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="^metric is not finite at step 1$"):
-            step(kind, state, grad, a)
+            run_steps(kind, state, grad, a, 1, lambda t: None)
 
     def test_breakpoint_limit_rejects_layer(self):
         grid = QuantGrid(16)
@@ -451,7 +457,7 @@ class TestConstructorAndDriver:
         state = fresh_layer("laq", [1.0, 1.0], True)
         run_steps("laq", state, fig1_quadratic().grad_at, 0.6, steps, events.append)
         assert events == [0] + [e for t in range(1, steps + 1) for e in ("step", t)]
-        assert state.step_count == steps
+        assert state.curvature.step == steps
 
     def test_full_precision_layer_owns_a_copy_of_w0(self):
         w0 = np.array([1.0, -2.0])
@@ -483,7 +489,6 @@ def _reference_proximal_step(layers, grad_at):
         s.g_hat = np.asarray(g, dtype=np.float64)
         s.d_hat = s.curvature.update(s.g_hat)
         s.place(w_hat - s.g_hat / s.d_hat, s.d_hat)
-        s.step_count += 1
 
 
 def _reference_blaq_step(layers, grad_at, a):
@@ -502,7 +507,6 @@ def _reference_blaq_step(layers, grad_at, a):
         s.g_hat = a * s.g_hat + (1.0 - a) * g_star
         s.d_hat = a * s.d_hat + (1.0 - a) * d_star
         s.place(s.w - s.g_hat / s.d_hat, s.d_hat)
-        s.step_count += 1
 
 
 def _mixed_layers(seed):

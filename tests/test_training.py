@@ -11,7 +11,7 @@ from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import NumericError
 from blaq.mnist import load_mnist, make_synthetic_fixture
 from blaq.models import EVAL_ROWS, MlpClassifier, eval_chunks
-from blaq.training import train_classifier
+from blaq.training import steps_per_epoch, train_classifier
 
 from helpers import same_bits
 
@@ -51,8 +51,9 @@ def train(dataset, optimizer, epochs=1):
 def test_network_evaluations_per_minibatch(dataset, monkeypatch, optimizer, per_step):
     calls = recording_eval_batch(monkeypatch)
     result = train(dataset, optimizer, epochs=2)
-    assert result.steps_per_epoch == 3
+    assert steps_per_epoch(len(dataset.train_images), 20) == 3
     assert len(result.trajectory) == 6
+    assert [row[0] for row in result.epoch_rows] == [1, 2]
     assert len(calls) == 6 * per_step
 
 

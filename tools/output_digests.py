@@ -92,6 +92,12 @@ RUNS = [
                               "--epochs", "3", "--data-dir", "{ragged}"]),
     ("mnist-ragged-laq-k2", ["train-mnist", "--optimizer", "laq", "--bitwidth", "2",
                              "--epochs", "3", "--data-dir", "{ragged}"]),
+    # one step per epoch: each step closes its epoch
+    ("mnist-one-step-epochs", ["train-mnist", "--batch-size", "1000", "--epochs", "3",
+                               "--data-dir", "{ragged}"]),
+    # the trainer diverges at its first step, exit 3 before any file is written
+    ("diverge-mnist-eta", ["train-mnist", "--eta-schedule", "[[0,1e300]]", "--epochs", "1",
+                           "--data-dir", "{ragged}"]),
 ]
 
 
