@@ -9,15 +9,14 @@ from .autodiff import Graph
 from .curvature import CurvatureState, LrSchedule
 from .metrics import (TrajectoryRecord, direction_change_count, flip_count,
                       oscillation_amplitude, steps_to_tolerance)
-from .optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
-                         full_precision_step, laq_step)
+from .optimizers import LayerState, blaq_step, full_precision_step, laq_step, new_layer
 from .quantizer import QuantGrid, ScaledCode, nearest_level, project
 from .theory import DiagonalQuadratic, TheoryParams, theorem1_bound, theorem2_region
 
 __all__ = [
     "Graph", "CurvatureState", "LrSchedule", "TrajectoryRecord",
     "direction_change_count", "flip_count", "oscillation_amplitude",
-    "steps_to_tolerance", "FullPrecisionState", "LayerQuantState",
+    "steps_to_tolerance", "LayerState", "new_layer",
     "blaq_step", "full_precision_step", "laq_step", "QuantGrid",
     "ScaledCode", "nearest_level", "project", "DiagonalQuadratic",
     "TheoryParams", "theorem1_bound", "theorem2_region",

@@ -55,7 +55,6 @@ class Graph:
 
     def __init__(self):
         self.nodes = []
-        self.gradients = {}          # node uid -> grad array (after backward)
         self._params = {}            # name -> node uid
         self._placeholders = {}      # name -> node uid
         self._loss_uid = None
@@ -212,7 +211,6 @@ class Graph:
         """Reverse pass; returns {parameter name: gradient array}."""
         if self._loss_uid is None or self.nodes[self._loss_uid].value is None:
             raise StateError("backward called before forward")
-        self.gradients = {}
         for node in self.nodes:
             node.grad = None
         loss = self.nodes[self._loss_uid]
@@ -220,7 +218,6 @@ class Graph:
         for node in reversed(self.nodes[: self._loss_uid + 1]):
             if node.grad is None:
                 continue
-            self.gradients[node.uid] = node.grad
             if node.kind in ("placeholder", "parameter", "constant"):
                 continue
             args = [self.nodes[i].value for i in node.inputs]

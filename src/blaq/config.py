@@ -78,7 +78,6 @@ class ExperimentConfig:
     track_coords: int = 8
     hidden: list = field(default_factory=lambda: [256, 128, 64])
     data_dir: str | None = None
-    fetch_url: str | None = None
     n_instances: int = 50
     theory_dim: int = 4
 
@@ -93,7 +92,7 @@ class ExperimentConfig:
         for key in sorted(_FLOAT_KEYS):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        for key in ("output_dir", "data_dir", "fetch_url"):
+        for key in ("output_dir", "data_dir"):
             if getattr(self, key) is not None and not isinstance(getattr(self, key), str):
                 raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -246,7 +245,9 @@ def load_config(path=None, overrides=None, experiment=None):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:
+            # ValueError: bytes that are not UTF-8, bad JSON, an integer
+            # over the digit limit; RecursionError: JSON nested too deep
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -255,7 +256,7 @@ def load_config(path=None, overrides=None, experiment=None):
         key = key.replace("-", "_")
         try:
             parsed[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):    # kept raw; validation rejects it
             parsed[key] = raw
     if experiment is not None:
         for source, values in (("config file", data), ("override", parsed)):

@@ -107,8 +107,7 @@ def run_toy_objective(objective, cfg, schedule, steps):
     record = TrajectoryRecord(w0)
 
     def observe(t):
-        levels = state.w if grid is None else state.code.beta
-        record.append(t, objective.loss_at(state.w_hat()), state.w, levels)
+        record.append(t, objective.loss_at(state.w_hat()), state.w, state.levels())
 
     run_steps(cfg.optimizer, state, objective.grad_at, cfg.a, steps, observe)
     return state, record
@@ -144,7 +143,7 @@ def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objectiv
                                   for i in range(n)},
         "direction_change_count": direction_change_count(record, window),
     }
-    if cfg.optimizer != "full-precision":
+    if state.code is not None:
         metrics["final_alpha"] = state.code.alpha
         metrics["final_beta"] = state.code.beta
     metrics.update(extra_metrics(state, record))
@@ -168,8 +167,7 @@ def run_toy2d(cfg):
         return fig1_quadratic(omega0)
 
     def floor_metrics(state, record):
-        floor = (0.0 if cfg.optimizer == "full-precision"
-                 else toy2d_quantized_floor_loss(cfg.bitwidth))
+        floor = 0.0 if state.code is None else toy2d_quantized_floor_loss(cfg.bitwidth)
         return {"loss_floor_target": floor,
                 "steps_to_floor_tol": steps_to_tolerance(record, floor, FLOOR_TOL)}
 
@@ -244,12 +242,8 @@ def run_train_mnist(cfg, dataset=None):
     if dataset is None:
         data_dir = cfg.data_dir or mnist_io.default_data_dir()
         if not mnist_io.dataset_present(data_dir):
-            if cfg.fetch_url:
-                mnist_io.fetch_mnist(data_dir, cfg.fetch_url)
-            else:
-                raise ConfigError(
-                    f"dataset not found under {data_dir!r}; set data_dir, "
-                    f"{mnist_io.DATA_DIR_ENV}, or fetch_url")
+            raise ConfigError(f"dataset not found under {data_dir!r}; set data_dir or "
+                              f"{mnist_io.DATA_DIR_ENV}")
         dataset = mnist_io.load_mnist(data_dir)
 
     per_epoch = steps_per_epoch(len(dataset.train_images), cfg.batch_size)

@@ -3,9 +3,9 @@
 Reads the four classic big-endian IDX files (optionally gzipped) and
 validates magic numbers, dimensions, split sizes and label ranges.
 Pixels stay the uint8 bytes of the files; `pixels_to_float` scales the
-rows a minibatch or an evaluation chunk needs to float64 in [0, 1].  An
-optional fetch step downloads the files from a caller-supplied mirror;
-nothing here hard-codes a network dependency.
+rows a minibatch or an evaluation chunk needs to float64 in [0, 1].
+Nothing here downloads: the files are read from a local directory, and
+`make_synthetic_fixture` writes a small dataset in the same layout.
 """
 
 from __future__ import annotations
@@ -144,20 +144,6 @@ def dataset_present(data_dir):
 
 def default_data_dir():
     return os.environ.get(DATA_DIR_ENV, os.path.join(os.path.expanduser("~"), ".cache", "blaq-mnist"))
-
-
-def fetch_mnist(data_dir, base_url, timeout=60):
-    """Download any missing split files (gzipped) from a mirror URL."""
-    import urllib.request   # loads ssl/http/email; only a download needs it
-    os.makedirs(data_dir, exist_ok=True)
-    for name in FILE_NAMES:
-        plain = os.path.join(data_dir, name)
-        if _stored(plain):
-            continue
-        url = base_url.rstrip("/") + "/" + name + ".gz"
-        with urllib.request.urlopen(url, timeout=timeout) as resp, open(plain + ".gz", "wb") as out:
-            out.write(resp.read())
-    return data_dir
 
 
 def _write_idx(path, magic, array):

@@ -3,9 +3,9 @@
 Every step acts on a list of layer states that share one joint gradient
 callback, `grad_at(points) -> grads`, with one flat vector per layer in
 each list; a bare state with a single-vector `grad_at` is the one-layer
-case.  A `LayerQuantState` carries its level grid, fixed when it is
-initialized, and projects onto that grid scaled; a `FullPrecisionState`
-is a layer with the identity projection, so the weights and the biases
+case.  Every layer is a `LayerState`: a quantized one carries its level
+grid and projects onto that grid scaled; a full-precision one has no
+grid, which is the identity projection, so the weights and the biases
 of a network take the same step.
 
 * `laq_step(states, grad_at)` — proximal step taken from the quantized
@@ -41,74 +41,51 @@ from .quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 
 
 @dataclass
-class LayerQuantState:
-    """Full-precision weights, their scaled code on the layer's grid, and
-    curvature statistics."""
+class LayerState:
+    """Full-precision weights and curvature statistics; on a quantized
+    layer also its level grid, fixed when the layer is made, and the
+    weights' scaled code on it.  `grid` None is the identity projection:
+    the layer has no code and its levels are its weights."""
 
     w: np.ndarray
-    code: ScaledCode
     curvature: CurvatureState
-    grid: QuantGrid
+    grid: QuantGrid | None = None
+    code: ScaledCode | None = None
     g_hat: np.ndarray | None = None
     d_hat: np.ndarray | None = None
 
-    @classmethod
-    def initialize(cls, w0, grid, curvature):
-        """Project the initial weights onto `grid` with unit metric (no
-        statistics yet); the layer keeps that grid for every later step.
-
-        Rejects a layer whose projection sweep would cross more than
-        `quantizer.MAX_SWEEP_BREAKPOINTS` breakpoints.
-        """
-        w0 = np.asarray(w0, dtype=np.float64).copy()
-        breakpoints = w0.size * (grid.resolution - 1)
-        if breakpoints > MAX_SWEEP_BREAKPOINTS:
-            raise ConfigError(
-                f"a {w0.size}-weight layer at {grid.bitwidth} bits needs {breakpoints} "
-                f"projection breakpoints, above the limit of {MAX_SWEEP_BREAKPOINTS}")
-        code = project(w0, np.ones_like(w0), grid)
-        return cls(w=w0, code=code, curvature=curvature, grid=grid)
-
     def w_hat(self):
-        return self.code.w_hat()
+        return self.w if self.code is None else self.code.w_hat()
+
+    def levels(self):
+        """The grid level of each weight; the weights without a grid."""
+        return self.w if self.code is None else self.code.beta
 
     def fit(self, w, d):
-        """The scaled code of weights w under metric d."""
-        return project(w, d, self.grid)
+        """The scaled code of weights w under metric d; None without a grid."""
+        return None if self.grid is None else project(w, d, self.grid)
 
     def place(self, w, d):
         """Take full-precision weights w and their code under metric d."""
-        self.code = project(w, d, self.grid)
-        self.w = w
-
-
-@dataclass
-class FullPrecisionState:
-    """Baseline state: weights plus curvature, identity projection."""
-
-    w: np.ndarray
-    curvature: CurvatureState
-    g_hat: np.ndarray | None = None
-    d_hat: np.ndarray | None = None
-
-    def w_hat(self):
-        return self.w
-
-    def fit(self, w, d):
-        """Identity projection: there is no code."""
-        return None
-
-    def place(self, w, d):
+        self.code = None if self.grid is None else project(w, d, self.grid)
         self.w = w
 
 
 def new_layer(w0, grid, curvature):
-    """A layer state starting from `w0`: `LayerQuantState.initialize` on
-    `grid`, or with `grid` None a `FullPrecisionState` holding its own copy
-    of `w0`."""
-    if grid is None:
-        return FullPrecisionState(w=np.array(w0, dtype=np.float64), curvature=curvature)
-    return LayerQuantState.initialize(w0, grid, curvature)
+    """A layer holding its own copy of `w0`, on `grid` or full-precision
+    when `grid` is None, placed under the unit metric (no statistics yet).
+
+    Rejects a layer whose projection sweep would cross more than
+    `quantizer.MAX_SWEEP_BREAKPOINTS` breakpoints.
+    """
+    layer = LayerState(np.array(w0, dtype=np.float64), curvature, grid)
+    breakpoints = 0 if grid is None else layer.w.size * (grid.resolution - 1)
+    if breakpoints > MAX_SWEEP_BREAKPOINTS:
+        raise ConfigError(
+            f"a {layer.w.size}-weight layer at {grid.bitwidth} bits needs {breakpoints} "
+            f"projection breakpoints, above the limit of {MAX_SWEEP_BREAKPOINTS}")
+    layer.place(layer.w, np.ones_like(layer.w))
+    return layer
 
 
 def _as_layers(states, grad_at):

@@ -1,14 +1,15 @@
 """Minibatch training loop for the quantized classifier.
 
-Each weight matrix is a layer on the config's grid (full-precision for
-the full-precision baseline) and each bias a full-precision layer, all
-built by `optimizers.new_layer`; `optimizers.run_steps` takes one step
-per minibatch and moves them all, with a joint gradient from one network
-evaluation.  The loss-aware step therefore evaluates the network once per
-minibatch and the backtracking step exactly twice (current point, then
-every layer's trial point, biases included).  The trainer does no update
-arithmetic of its own: its observer records each step, closes each epoch
-and draws the next minibatch.
+Each weight matrix is an `optimizers.LayerState` on the config's grid
+(without a grid for the full-precision baseline) and each bias one
+without a grid, all built by `optimizers.new_layer`.
+`optimizers.run_steps` takes one step per minibatch and moves them all,
+with a joint gradient from one network evaluation.  The loss-aware step
+therefore evaluates the network once per minibatch and the backtracking
+step exactly twice (current point, then every layer's trial point,
+biases included).  The trainer does no update arithmetic of its own: its
+observer records each step, with the levels that each layer reports,
+closes each epoch and draws the next minibatch.
 """
 
 from __future__ import annotations
@@ -61,13 +62,12 @@ def train_classifier(dataset, cfg, schedule):
     init_seed, shuffle_seed, track_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
 
     model = MlpClassifier(sizes, seed=init_seed)
-    quantize = cfg.optimizer in ("laq", "blaq")
 
     def initial_state(name, grid):
         w0 = model.graph.get_parameter(name).reshape(-1)
         return new_layer(w0, grid, CurvatureState(w0.size, schedule, cfg.beta2, cfg.eps))
 
-    grid = QuantGrid(cfg.bitwidth) if quantize else None
+    grid = None if cfg.optimizer == "full-precision" else QuantGrid(cfg.bitwidth)
     weights = [initial_state(name, grid) for name in model.weight_names]
     states = weights + [initial_state(name, None) for name in model.bias_names]
 
@@ -80,9 +80,9 @@ def train_classifier(dataset, cfg, schedule):
         tracked.append((weights[li], c - int(offsets[li])))
 
     def tracked_values(levels):
-        """The tracked coordinates' full-precision weights, or their grid
-        levels when `levels` is set."""
-        return np.array([s.code.beta[i] if levels else s.w[i] for s, i in tracked],
+        """The tracked coordinates' full-precision weights, or their
+        layers' `levels()` when `levels` is set."""
+        return np.array([s.levels()[i] if levels else s.w[i] for s, i in tracked],
                         dtype=np.float64)
 
     def split(points):
@@ -117,7 +117,7 @@ def train_classifier(dataset, cfg, schedule):
         nonlocal batch
         if t:
             result.trajectory.append(t - 1, losses[0], tracked_values(False),
-                                     tracked_values(quantize))
+                                     tracked_values(True))
             losses.clear()
             if t % per_epoch == 0:
                 epoch_loss = float(np.mean(result.trajectory.losses[-per_epoch:]))
@@ -127,5 +127,5 @@ def train_classifier(dataset, cfg, schedule):
         batch = next(batches, None)
 
     run_steps(cfg.optimizer, states, grad_at, cfg.a, cfg.epochs * per_epoch, observe)
-    result.layer_alphas = [float(s.code.alpha) if quantize else None for s in weights]
+    result.layer_alphas = [None if s.code is None else float(s.code.alpha) for s in weights]
     return result

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The classifier criterion needs the real dataset; it is skipped
-with an explicit message when no copy is available (this sandbox has no
-network route to fetch one).
+with an explicit message when no local copy is available (the package
+downloads nothing).
 """
 
 import os
@@ -17,7 +17,7 @@ from blaq.curvature import CurvatureState, LrSchedule
 from blaq.experiments import (run_theory_check, run_toy2d, run_train_mnist,
                               toy2d_quantized_floor_loss)
 from blaq.models import MlpClassifier, abs_power_objective
-from blaq.optimizers import LayerQuantState, blaq_step, laq_step
+from blaq.optimizers import blaq_step, laq_step, new_layer
 from blaq.quantizer import (QuantGrid, exhaustive_project, project,
                             weighted_objective)
 from blaq.theory import TheoryParams, theorem1_bound
@@ -102,7 +102,7 @@ def test_criterion_3_pow32_counterexample():
 
         def flips(kind, w0):
             objective = abs_power_objective(c=1.0, w0=[w0])
-            state = LayerQuantState.initialize(
+            state = new_layer(
                 np.array([w0]), grid, CurvatureState(1, schedule, beta2=0.999))
             levels = [state.code.beta[0]]
             for _ in range(1000):
@@ -237,8 +237,8 @@ def _real_dataset_dir():
 
 
 @pytest.mark.skipif(_real_dataset_dir() is None,
-                    reason="MNIST IDX files not found (set BLAQ_DATA_DIR or fetch "
-                           "with fetch_url); this environment has no network route")
+                    reason="MNIST IDX files not found under BLAQ_DATA_DIR or "
+                           "~/.cache/blaq-mnist; the package downloads nothing")
 def test_criterion_7_mnist_desk_scale(tmp_path):
     with Criterion(7, "1-bit classifier accuracy and per-coordinate flip ordering", 1800.0):
         data_dir = _real_dataset_dir()

@@ -444,6 +444,11 @@ class TestCliLimits:
         ["theory-check", "--n-instances", "1" + "0" * 400],
         # eps / rate overflows at every rate c/L1 the theorem suite draws
         ["theory-check", "--eps", "1e308"],
+        # overrides that json cannot parse stay raw strings, which validation rejects
+        ["toy2d", "--omega0", "[" * 30000 + "]" * 30000],
+        ["toy2d", "--steps", "1" + "0" * 5000],
+        # the package downloads nothing: fetch_url is not a key
+        ["train-mnist", "--fetch-url", "x"],
     ])
     def test_rejected_config_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv + ["--output-dir", str(tmp_path / "run")])
@@ -451,6 +456,22 @@ class TestCliLimits:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                                             # not UTF-8
+        b'{"omega0": ' + b"[" * 30000 + b"]" * 30000 + b"}",         # nested too deep
+        b'{"steps": 1' + b"0" * 5000 + b"}",                        # over the digit limit
+    ])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        out = tmp_path / "run"
+        code = cli_main(["toy2d", "--config", str(path), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["theory-check", "--theory-dim", "1000000000000"], "theory_dim"),

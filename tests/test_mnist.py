@@ -171,7 +171,8 @@ class TestLoadDataset:
 
 
 def test_import_does_not_load_the_network_stack():
-    # urllib.request pulls in ssl, http and email; only fetch_mnist needs it
+    # a guard: the package downloads nothing, so importing the CLI must not
+    # load urllib.request (which pulls in ssl, http and email)
     src = os.path.dirname(os.path.dirname(os.path.abspath(blaq.__file__)))
     probe = "import sys, blaq.cli; print('urllib.request' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

@@ -9,8 +9,8 @@ from blaq.curvature import CurvatureState, LrSchedule
 from blaq.errors import ConfigError, NumericError
 from blaq.metrics import TrajectoryRecord, flip_count
 from blaq.models import abs_power_objective, fig1_quadratic
-from blaq.optimizers import (FullPrecisionState, LayerQuantState, blaq_step,
-                             full_precision_step, laq_step, new_layer, run_steps, step)
+from blaq.optimizers import (LayerState, blaq_step, full_precision_step, laq_step,
+                             new_layer, run_steps, step)
 from blaq.quantizer import MAX_SWEEP_BREAKPOINTS, QuantGrid, ScaledCode, project
 from helpers import same_bits
 
@@ -48,7 +48,7 @@ class CountingGrad:
 
 
 def make_state(w, alpha, beta, curvature, grid=QuantGrid(1)):
-    return LayerQuantState(
+    return LayerState(
         w=np.asarray(w, dtype=np.float64),
         code=ScaledCode(alpha, np.asarray(beta, dtype=np.float64)),
         curvature=curvature,
@@ -114,7 +114,7 @@ class TestBlaqStages:
         # metric 1/eta it lies eta * (0.54, -0.11) from (0, 0)
         obj = fig1_quadratic()
         eta = 0.05
-        state = FullPrecisionState(w=np.zeros(2),
+        state = LayerState(w=np.zeros(2),
                                    curvature=FixedCurvature([1.0 / eta, 1.0 / eta]))
         grad = CountingGrad(obj.grad_at)
         blaq_step(state, grad, 0.6)
@@ -143,7 +143,7 @@ class TestBlaqStep:
     def test_two_evaluations_per_step(self):
         obj = fig1_quadratic()
         grid = QuantGrid(1)
-        state = LayerQuantState.initialize(
+        state = new_layer(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
         grad = CountingGrad(obj.grad_at)
         starts = []
@@ -161,7 +161,7 @@ class TestBlaqStep:
         grid = QuantGrid(1)
 
         def fresh_state():
-            return LayerQuantState.initialize(
+            return new_layer(
                 np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
 
         state = fresh_state()
@@ -176,11 +176,11 @@ class TestBlaqStep:
     def test_endpoint_a_zero_uses_trial_quantities(self):
         obj = fig1_quadratic()
         grid = QuantGrid(1)
-        state = LayerQuantState.initialize(
+        state = new_layer(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
 
         # reproduce by hand
-        ref = LayerQuantState.initialize(
+        ref = new_layer(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
         g = obj.grad_at(ref.w_hat())
         d = ref.curvature.update(g)
@@ -199,7 +199,7 @@ class TestBlaqStep:
         obj = fig1_quadratic()
         grid = QuantGrid(1)
         for a in rng.uniform(0, 1, size=10):
-            state = LayerQuantState.initialize(
+            state = new_layer(
                 rng.normal(size=2), grid, CurvatureState(2, LrSchedule.constant(0.1)))
             for _ in range(5):
                 blaq_step(state, obj.grad_at, float(a))
@@ -208,7 +208,7 @@ class TestBlaqStep:
     def test_code_invariants_hold_along_trajectory(self):
         obj = fig1_quadratic()
         grid = QuantGrid(2)
-        state = LayerQuantState.initialize(
+        state = new_layer(
             np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.05)))
         for _ in range(50):
             blaq_step(state, obj.grad_at, 0.6)
@@ -219,7 +219,7 @@ class TestBlaqStep:
         def run():
             obj = fig1_quadratic()
             grid = QuantGrid(1)
-            state = LayerQuantState.initialize(
+            state = new_layer(
                 np.array([1.0, 1.0]), grid, CurvatureState(2, LrSchedule.constant(0.1)))
             traj = []
             for _ in range(40):
@@ -231,7 +231,7 @@ class TestBlaqStep:
 
     @pytest.mark.parametrize("a", [-0.1, 1.5, float("nan")])
     def test_mixing_coefficient_outside_unit_interval_rejected(self, a):
-        state = LayerQuantState.initialize(
+        state = new_layer(
             np.array([1.0, 1.0]), QuantGrid(1), CurvatureState(2, LrSchedule.constant(0.1)))
         grad = CountingGrad(fig1_quadratic().grad_at)
         with pytest.raises(ValueError, match="mixing coefficient"):
@@ -240,7 +240,7 @@ class TestBlaqStep:
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_mixing_coefficient_endpoints_run(self, a):
-        state = LayerQuantState.initialize(
+        state = new_layer(
             np.array([1.0, 1.0]), QuantGrid(1), CurvatureState(2, LrSchedule.constant(0.1)))
         blaq_step(state, fig1_quadratic().grad_at, a)
         assert state.curvature.step == 1
@@ -248,7 +248,7 @@ class TestBlaqStep:
 
 class TestFullPrecision:
     def test_zero_gradient_no_movement(self):
-        state = FullPrecisionState(w=np.array([1.0, -2.0]),
+        state = LayerState(w=np.array([1.0, -2.0]),
                                    curvature=CurvatureState(2, LrSchedule.constant(0.1)))
         full_precision_step(state, lambda w: np.zeros(2))
         assert list(state.w) == [1.0, -2.0]
@@ -256,7 +256,7 @@ class TestFullPrecision:
     def test_monotone_descent_region(self):
         # 0.5*L*w^2 far from the optimum: adaptive steps shrink the loss
         L = 4.0
-        state = FullPrecisionState(w=np.array([2.0]),
+        state = LayerState(w=np.array([2.0]),
                                    curvature=CurvatureState(1, LrSchedule.constant(0.05)))
         losses = []
         for _ in range(20):
@@ -266,7 +266,7 @@ class TestFullPrecision:
 
     def test_converges_on_anisotropic_quadratic(self):
         obj = fig1_quadratic()
-        state = FullPrecisionState(w=np.array([1.0, 1.0]),
+        state = LayerState(w=np.array([1.0, 1.0]),
                                    curvature=CurvatureState(2, LrSchedule.constant(0.05)))
         for t in range(500):
             full_precision_step(state, obj.grad_at)
@@ -278,7 +278,7 @@ class TestPow32Counterexample:
         # descent on a function convex in |w|: |w| falls until the iterate
         # first crosses zero and stays pinned at step scale afterwards
         obj = abs_power_objective(c=1.0, w0=[0.5])
-        state = FullPrecisionState(
+        state = LayerState(
             w=np.array([0.5]), curvature=CurvatureState(1, LrSchedule.constant(0.01)))
         trace = [0.5]
         for _ in range(1000):
@@ -296,7 +296,7 @@ class TestPow32Counterexample:
 
         def flips(kind):
             obj = abs_power_objective(c=1.0, w0=[0.5])
-            state = LayerQuantState.initialize(
+            state = new_layer(
                 np.array([0.5]), grid, CurvatureState(1, LrSchedule.constant(0.01)))
             record = TrajectoryRecord(state.w)
             record.append(0, 0.0, state.w, state.code.beta)
@@ -320,8 +320,8 @@ def separable_parts():
 def fresh_layer(kind, w0, quantized):
     curv = CurvatureState(len(w0), LrSchedule.constant(0.05))
     if quantized:
-        return LayerQuantState.initialize(np.array(w0), QuantGrid(2), curv)
-    return FullPrecisionState(w=np.array(w0), curvature=curv)
+        return new_layer(np.array(w0), QuantGrid(2), curv)
+    return LayerState(w=np.array(w0), curvature=curv)
 
 
 class TestLayerLists:
@@ -369,7 +369,7 @@ class TestLayerLists:
     def test_full_precision_trial_point_is_the_forward_step(self):
         # a full-precision layer's trial point is w - g/D, not w
         layers = [make_state([0.4, -0.4], 0.4, [1.0, -1.0], FixedCurvature([2.0, 4.0])),
-                  FullPrecisionState(w=np.array([1.0]), curvature=FixedCurvature([4.0]))]
+                  LayerState(w=np.array([1.0]), curvature=FixedCurvature([4.0]))]
         seen = []
 
         def grad(points):
@@ -386,8 +386,8 @@ class TestLayerLists:
     def test_each_layer_keeps_its_own_grid(self, kind):
         # a 1-bit and a 3-bit layer in one list, pulled toward [0.4, 0.1]
         grids = (QuantGrid(1), QuantGrid(3))
-        layers = [LayerQuantState.initialize(np.array([1.0, 1.0]), grid,
-                                             CurvatureState(2, LrSchedule.constant(0.05)))
+        layers = [new_layer(np.array([1.0, 1.0]), grid,
+                            CurvatureState(2, LrSchedule.constant(0.05)))
                   for grid in grids]
         center = np.array([0.4, 0.1])
 
@@ -441,7 +441,7 @@ class TestLayerLists:
         grid = QuantGrid(16)
         n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
         with pytest.raises(ConfigError):
-            LayerQuantState.initialize(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
+            new_layer(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
 
 
 class TestConstructorAndDriver:
@@ -462,18 +462,40 @@ class TestConstructorAndDriver:
     def test_full_precision_layer_owns_a_copy_of_w0(self):
         w0 = np.array([1.0, -2.0])
         state = new_layer(w0, None, CurvatureState(2, LrSchedule.constant(0.1)))
-        assert isinstance(state, FullPrecisionState)
+        assert state.grid is None and state.code is None
         assert not np.shares_memory(state.w, w0)
         step("full-precision", state, fig1_quadratic().grad_at, 0.6)
         state.w += 1.0
         assert w0.tolist() == [1.0, -2.0]
 
+    def test_quantized_layer_owns_a_copy_of_w0(self):
+        w0 = np.array([0.3, -1.2, 0.7])
+        state = new_layer(w0, QuantGrid(2), CurvatureState(3, LrSchedule.constant(0.1)))
+        assert not np.shares_memory(state.w, w0)
+        step("laq", state, lambda w: w - 0.5, 0.6)
+        state.w += 1.0
+        assert w0.tolist() == [0.3, -1.2, 0.7]
+
     def test_quantized_layer_is_the_initialized_state(self):
-        w0, schedule = np.array([0.3, -1.2, 0.7]), LrSchedule.constant(0.1)
-        state = new_layer(w0, QuantGrid(2), CurvatureState(3, schedule))
-        ref = LayerQuantState.initialize(w0, QuantGrid(2), CurvatureState(3, schedule))
-        assert isinstance(state, LayerQuantState) and state.grid.bitwidth == 2
-        assert same_bits(state.w, ref.w) and same_bits(state.w_hat(), ref.w_hat())
+        # the start weights placed on the grid under the unit metric
+        w0 = np.array([0.3, -1.2, 0.7])
+        state = new_layer(w0, QuantGrid(2), CurvatureState(3, LrSchedule.constant(0.1)))
+        ref = project(w0, np.ones_like(w0), QuantGrid(2))
+        assert state.grid.bitwidth == 2 and state.code is not None
+        assert same_bits(state.w, w0) and same_bits(state.w_hat(), ref.w_hat())
+
+    def test_levels_are_the_code_or_the_weights(self):
+        def layers():
+            return [new_layer([0.3, -1.2, 0.7], grid, CurvatureState(3, LrSchedule.constant(0.1)))
+                    for grid in (QuantGrid(2), None)]
+
+        for taken in (0, 1):
+            quantized, plain = layers()
+            for _ in range(taken):
+                step("laq", quantized, lambda w: w - 0.5, 0.6)
+                step("full-precision", plain, lambda w: w - 0.5, 0.6)
+            assert quantized.levels() is quantized.code.beta
+            assert plain.levels() is plain.w
 
     def test_oversized_quantized_layer_rejected(self):
         grid = QuantGrid(16)
@@ -522,8 +544,8 @@ def _mixed_layers(seed):
     for k, n in kinds:
         curvature = CurvatureState(n, schedule, 0.99)
         w0 = rng.normal(size=n)
-        layers.append(FullPrecisionState(w=w0, curvature=curvature) if k is None
-                      else LayerQuantState.initialize(w0, QuantGrid(k), curvature))
+        layers.append(LayerState(w=w0, curvature=curvature) if k is None
+                      else new_layer(w0, QuantGrid(k), curvature))
     lams = [rng.uniform(0.5, 5.0, size=n) for _, n in kinds]
     centers = [rng.normal(size=n) * 0.3 for _, n in kinds]
 
@@ -552,7 +574,7 @@ class TestStepsAgainstReference:
                 for name in ("w", "g_hat", "d_hat"):
                     assert same_bits(getattr(x, name), getattr(y, name)), name
                 assert same_bits(x.curvature.v, y.curvature.v)
-                if isinstance(x, LayerQuantState):
+                if x.grid is not None:
                     assert x.code.alpha == y.code.alpha
                     assert same_bits(x.code.beta, y.code.beta)
 
@@ -564,11 +586,11 @@ class TestStepsAgainstReference:
         kept = [w.copy() for w in held]
         schedule = LrSchedule.constant(0.1)
         if kind == "full-precision":
-            layers = [FullPrecisionState(w=w, curvature=CurvatureState(w.size, schedule))
+            layers = [LayerState(w=w, curvature=CurvatureState(w.size, schedule))
                       for w in held]
         else:
             layers = [make_state(held[0], 0.5, np.sign(held[0]), CurvatureState(n, schedule)),
-                      FullPrecisionState(w=held[1], curvature=CurvatureState(3, schedule))]
+                      LayerState(w=held[1], curvature=CurvatureState(3, schedule))]
         handed = []     # (array, its value when handed over), both directions
 
         def grad_at(points):

@@ -146,7 +146,7 @@ def main(argv=None):
                         help=f"output root, the same for every tree compared (default {DEFAULT_ROOT})")
     args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")   # read when numpy is first imported
+        os.environ[var] = "1"   # read when numpy is first imported; overrides the shell
     blaq = import_blaq(args.src_dir)
     for line in digest_lines(blaq, args.root):
         print(line, flush=True)
