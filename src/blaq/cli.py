@@ -24,6 +24,8 @@ from .config import EXPERIMENTS, load_config
 from .errors import CheckFailed, ConfigError, FormatError, NumericError
 from .experiments import run
 
+MAX_MESSAGE = 300   # characters of an `error:` message kept on its line
+
 
 def _parse_overrides(extra):
     overrides = {}
@@ -61,7 +63,10 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             result = run(cfg)
     except (ConfigError, FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        message = str(e)
+        if len(message) > MAX_MESSAGE:     # a rejected value can be kilobytes long
+            message = f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)

@@ -157,12 +157,6 @@ class ExperimentConfig:
             check_rate("eta_schedule rate", rate, self.eps)
         return schedule
 
-    def echo(self, **resolved):
-        """JSON-ready dict of the full config plus resolved defaults."""
-        out = dataclasses.asdict(self)
-        out.update(resolved)
-        return out
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _FLOAT_KEYS = {"a", "beta2", "eps", "c"}
@@ -180,15 +174,11 @@ def _coerce(key, value):
     return value
 
 
-# Values a run resolves from its defaults and echoes into its config.json:
-# the key whose form each must have, and the key it resolves, if any.
-_RESOLVED_KEYS = {"resolved_steps": ("steps", "steps"),
-                  "resolved_omega0": ("omega0", "omega0"),
-                  "resolved_eta_schedule": ("eta_schedule", "eta_schedule"),
-                  "resolved_steps_per_epoch": ("steps", None)}
-
-
-def _build(data):
+def config_from_dict(data):
+    """Build a config from a plain dict, rejecting unknown keys."""
+    unknown = set(data) - set(_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         coerced = {k: _coerce(k, v) for k, v in data.items()}
     except (TypeError, ValueError, OverflowError) as e:
@@ -199,46 +189,12 @@ def _build(data):
         raise ConfigError(str(e)) from e
 
 
-def _check_resolved(cfg, data, key, value):
-    """A resolved value must be valid as its key, and equal that key where
-    the config sets it; the run resolves its defaults afresh either way."""
-    form, resolves = _RESOLVED_KEYS[key]
-    try:
-        as_key = _build({**data, form: value})
-    except ConfigError as e:
-        raise ConfigError(f"bad {key}: {e}") from e
-    if resolves is None or getattr(cfg, resolves) is None:
-        return
-    if resolves == "eta_schedule":
-        agree = as_key.schedule().entries == cfg.schedule().entries
-    else:
-        agree = getattr(as_key, resolves) == getattr(cfg, resolves)
-    if not agree:
-        raise ConfigError(f"{key}={value!r} disagrees with {resolves}={getattr(cfg, resolves)!r}")
-
-
-def config_from_dict(data):
-    """Build a config from a plain dict, rejecting unknown keys.
-
-    The `resolved_*` keys of a run's config echo are accepted, checked
-    and dropped, so that the echo loads back as the same config.
-    """
-    unknown = set(data) - set(_FIELDS) - set(_RESOLVED_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    plain = {k: v for k, v in data.items() if k in _FIELDS}
-    cfg = _build(plain)
-    for key in sorted(set(data) & set(_RESOLVED_KEYS)):
-        _check_resolved(cfg, plain, key, data[key])
-    return cfg
-
-
 def load_config(path=None, overrides=None, experiment=None):
     """Merge config file, CLI overrides, and the subcommand's experiment.
 
-    Overrides win over the file, and over the file's echoed `resolved_*`
-    value of a key they set; an experiment named by either that is not
-    the subcommand's is a ConfigError.
+    Overrides win over the file, which may be a run's own config.json; an
+    experiment named by either that is not the subcommand's is a
+    ConfigError.
     """
     data = {}
     if path:
@@ -265,10 +221,5 @@ def load_config(path=None, overrides=None, experiment=None):
                     f"{source} says experiment={values['experiment']!r} but the "
                     f"{experiment!r} subcommand was invoked")
         parsed["experiment"] = experiment
-    # an echoed value stands for the file's key, so an override of that key
-    # replaces both (the run resolves it afresh)
-    for key, (_, resolves) in _RESOLVED_KEYS.items():
-        if resolves in parsed:
-            data.pop(key, None)
     data.update(parsed)
     return config_from_dict(data)

@@ -1,9 +1,11 @@
 """End-to-end experiment runners with file outputs.
 
-Every run writes a config echo (JSON), a trajectory or epoch CSV, and a
-metrics summary (JSON).  All randomness is seeded from the config, and
-floats are serialized with shortest round-trip formatting, so re-running
-the same config reproduces every output byte for byte.
+Every run writes its config (JSON, `dataclasses.asdict` of the config,
+which loads back as `--config`), a trajectory or epoch CSV, and a
+metrics summary or report (JSON) that also holds the `resolved_*` values
+the run filled in from its defaults.  All randomness is seeded from the
+config, and floats are serialized with shortest round-trip formatting,
+so re-running the same config reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objectiv
     """The body of a toy run: resolve the unset steps, schedule and omega0
     from the defaults, drive the optimizer on `make_objective(omega0)`,
     summarize the trajectory plus the entries of `extra_metrics(state,
-    record)`, and write config.json, trajectory.csv and metrics.json."""
+    record)` and the resolved values, and write config.json,
+    trajectory.csv and metrics.json."""
     steps = cfg.steps or default_steps
     schedule = cfg.schedule(default_schedule)
     omega0 = cfg.omega0 or default_omega0
@@ -147,11 +150,11 @@ def _run_toy(cfg, default_steps, default_schedule, default_omega0, make_objectiv
         metrics["final_alpha"] = state.code.alpha
         metrics["final_beta"] = state.code.beta
     metrics.update(extra_metrics(state, record))
+    metrics.update(resolved_steps=steps, resolved_omega0=list(omega0),
+                   resolved_eta_schedule=schedule.as_pairs())
 
     out = _out_dir(cfg)
-    write_json(os.path.join(out, "config.json"),
-               cfg.echo(resolved_steps=steps, resolved_omega0=list(omega0),
-                        resolved_eta_schedule=schedule.as_pairs()))
+    write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), record, list(range(n)))
     write_json(os.path.join(out, "metrics.json"), metrics)
     return {"state": state, "record": record, "metrics": metrics, "out_dir": out}
@@ -223,9 +226,10 @@ def _run_toy2d_sweep(cfg):
         "blaq_oscillation_amplitude": {str(k0): blaq_amp},
         "flips_non_increasing_in_bitwidth": ordering_ok,
         "blaq_below_laq": blaq_less,
+        "resolved_steps": steps,
     }
     out = _out_dir(cfg)
-    write_json(os.path.join(out, "config.json"), cfg.echo(resolved_steps=steps))
+    write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_json(os.path.join(out, "zigzag_report.json"), report)
     if not (ordering_ok and blaq_less):
         raise CheckFailed(f"zig-zag ordering violated: {report}")
@@ -265,11 +269,10 @@ def run_train_mnist(cfg, dataset=None):
         "flip_count_final_quarter": flips,
         "layer_alphas": result.layer_alphas,
         "steps_per_epoch": per_epoch,
+        "resolved_eta_schedule": schedule.as_pairs(),
     }
     out = _out_dir(cfg)
-    write_json(os.path.join(out, "config.json"),
-               cfg.echo(resolved_eta_schedule=schedule.as_pairs(),
-                        resolved_steps_per_epoch=per_epoch))
+    write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_training_csv(os.path.join(out, "training.csv"), result.epoch_rows)
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), result.trajectory,
                          result.tracked_coords)
@@ -286,8 +289,9 @@ def run_theory_check(cfg):
         "ordering_ok": report["blaq_not_worse"] >= target,
         "bound_ok": report["total_bound_violations"] == 0,
     }
+    report["resolved_steps"] = steps
     out = _out_dir(cfg)
-    write_json(os.path.join(out, "config.json"), cfg.echo(resolved_steps=steps))
+    write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_json(os.path.join(out, "theory_report.json"), report)
     if not (report["checks"]["ordering_ok"] and report["checks"]["bound_ok"]):
         raise CheckFailed(f"theory checks failed: {report['checks']}")

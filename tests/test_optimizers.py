@@ -437,12 +437,6 @@ class TestLayerLists:
                 pytest.raises(NumericError, match="^metric is not finite at step 1$"):
             run_steps(kind, state, grad, a, 1, lambda t: None)
 
-    def test_breakpoint_limit_rejects_layer(self):
-        grid = QuantGrid(16)
-        n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
-        with pytest.raises(ConfigError):
-            new_layer(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
-
 
 class TestConstructorAndDriver:
     @pytest.mark.parametrize("steps", [0, 1, 5])
@@ -500,7 +494,7 @@ class TestConstructorAndDriver:
     def test_oversized_quantized_layer_rejected(self):
         grid = QuantGrid(16)
         n = MAX_SWEEP_BREAKPOINTS // (grid.resolution - 1) + 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="projection breakpoints, above the limit of"):
             new_layer(np.ones(n), grid, CurvatureState(n, LrSchedule.constant(0.1)))
 
 

@@ -7,12 +7,16 @@ Usage:
 Imports `blaq` from SRC_DIR, runs each call of `RUNS` in-process through
 `blaq.cli.main`, and prints one line per output file:
 `<run> <exit code> <file> <sha256>`, or `<run> <exit code> - -` for a
-run that writes no file.  Run it on two source trees and
-diff the two listings: a refactor that leaves the algorithm unchanged
-prints identical lines.  Both trees must write under the same root,
-because `config.json` echoes `output_dir`; the default root is fixed for
-that reason.  BLAS is pinned to one thread so that the MNIST runs repeat
-bit for bit.  The whole list takes about 10 s on one core.
+run that writes no file.  After the line of a `.json` file it prints one
+line per top-level key, `<run> <exit code> <file>#<key> <sha256>`, the
+digest of `json.dumps(value, sort_keys=True)`, so a change that moves or
+edits one key shows as that key's lines, not only as a whole-file
+mismatch.  Run it on two source trees and diff the two listings: a
+refactor that leaves the algorithm unchanged prints identical lines.
+Both trees must write under the same root, because `config.json` holds
+`output_dir`; the default root is fixed for that reason.  BLAS is pinned
+to one thread so that the MNIST runs repeat bit for bit.  The whole list
+takes about 10 s on one core.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -113,9 +118,8 @@ def import_blaq(src_dir):
     return blaq
 
 
-def sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest_lines(blaq, root):
@@ -134,7 +138,13 @@ def digest_lines(blaq, root):
         files = sorted(os.path.relpath(os.path.join(d, f), out)
                        for d, _, fs in os.walk(out) for f in fs)
         for rel in files:
-            yield f"{name} {code} {rel} {sha256(os.path.join(out, rel))}"
+            with open(os.path.join(out, rel), "rb") as fh:
+                data = fh.read()
+            yield f"{name} {code} {rel} {sha256(data)}"
+            if rel.endswith(".json"):
+                for key, value in sorted(json.loads(data).items()):
+                    value = json.dumps(value, sort_keys=True).encode()
+                    yield f"{name} {code} {rel}#{key} {sha256(value)}"
         if not files:
             yield f"{name} {code} - -"
 
